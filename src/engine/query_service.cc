@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/faultpoint.h"
+#include "common/macros.h"
 
 namespace xsact::engine {
 
@@ -27,6 +28,18 @@ uint64_t HashKey(std::string_view key) {
 }
 
 }  // namespace
+
+void Resolve(Completion& done, StatusOr<OutcomePtr> result) {
+  XSACT_CHECK_MSG(done.ops_ != nullptr, "request resolved twice");
+  done.ops_->invoke(done.storage_, &result);
+  done.Reset();
+}
+
+Completion PromiseCompletion(std::promise<StatusOr<OutcomePtr>> promise) {
+  return [promise = std::move(promise)](StatusOr<OutcomePtr> result) mutable {
+    promise.set_value(std::move(result));
+  };
+}
 
 std::string QueryService::NormalizeQuery(std::string_view query) {
   std::string out;
@@ -229,8 +242,8 @@ void QueryService::Shutdown() {
     draining_ = true;
     drained.swap(queue_);
   }
-  // Signal in-flight evaluations BEFORE resolving the drained promises so
-  // a caller observing a cancelled future knows no further work runs on
+  // Signal in-flight evaluations BEFORE resolving the drained tasks so a
+  // caller observing a cancelled result knows no further work runs on
   // its behalf beyond the current cooperative check interval. The cv
   // wakes the reload thread out of a retry backoff (under drain_mu_ so
   // the sleeper cannot miss the flag between its predicate and wait).
@@ -244,14 +257,14 @@ void QueryService::Shutdown() {
   drain_cv_.NotifyAll();
   for (Task& task : drained) {
     cancelled_.fetch_add(1, std::memory_order_relaxed);
-    task.promise.set_value(Status::Cancelled("service shutting down"));
+    Resolve(task.done, Status::Cancelled("service shutting down"));
   }
   queue_cv_.NotifyAll();
 }
 
-std::future<StatusOr<OutcomePtr>> QueryService::Submit(
-    std::string query, const CompareOptions& options, size_t max_results,
-    Deadline deadline, const CancelSource* cancel) {
+void QueryService::Submit(std::string query, const CompareOptions& options,
+                          size_t max_results, Deadline deadline,
+                          const CancelSource* cancel, Completion done) {
   // Fold max_results into the options so equivalent requests share a
   // cache entry regardless of which parameter carried the cap.
   CompareOptions effective = options;
@@ -264,15 +277,16 @@ std::future<StatusOr<OutcomePtr>> QueryService::Submit(
   // lock_discipline_test.cc::CacheHitDoesNotBypassDrain). The check is
   // repeated under the same lock at admission below for requests that
   // race Shutdown() past this point.
+  bool rejected;
   {
     MutexLock lock(queue_mu_);
-    if (draining_) {
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
-      std::promise<StatusOr<OutcomePtr>> rejected;
-      rejected.set_value(
-          Status::Cancelled("service is shutting down; submission rejected"));
-      return rejected.get_future();
-    }
+    rejected = draining_;
+  }
+  if (rejected) {
+    cancelled_.fetch_add(1, std::memory_order_relaxed);
+    Resolve(done,
+            Status::Cancelled("service is shutting down; submission rejected"));
+    return;
   }
 
   // Pin the task to the serving state current at submission: the worker
@@ -290,9 +304,8 @@ std::future<StatusOr<OutcomePtr>> QueryService::Submit(
     cache_key.append(OptionsFingerprint(effective));
     if (OutcomePtr cached = CacheLookup(cache_key)) {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      std::promise<StatusOr<OutcomePtr>> ready;
-      ready.set_value(std::move(cached));
-      return ready.get_future();
+      Resolve(done, std::move(cached));
+      return;
     }
     // The miss is counted at admission below: a submission shed by the
     // full queue never computes, so counting it here would make the
@@ -307,31 +320,45 @@ std::future<StatusOr<OutcomePtr>> QueryService::Submit(
   task.epoch = serving->epoch;
   task.deadline = deadline;
   task.cancel = cancel;
-  std::future<StatusOr<OutcomePtr>> future = task.promise.get_future();
-  {
-    MutexLock lock(queue_mu_);
-    if (draining_) {
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
-      task.promise.set_value(
-          Status::Cancelled("service is shutting down; submission rejected"));
-      return future;
-    }
-    if (options_.max_queue > 0 && queue_.size() >= options_.max_queue) {
-      // Load shedding: reject instead of growing the backlog, so a
-      // burst degrades into fast failures rather than unbounded latency.
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      task.promise.set_value(Status::ResourceExhausted(
-          "admission queue full (" + std::to_string(options_.max_queue) +
-          " tasks queued)"));
-      return future;
-    }
-    if (!task.cache_key.empty()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-    }
-    queue_.push_back(std::move(task));
-    admitted_.fetch_add(1, std::memory_order_relaxed);
+  task.done = std::move(done);
+  // A refused task is answered after the lock is released: a completion
+  // never runs under queue_mu_ (it may take its own locks or wake
+  // another thread, and must not extend this critical section).
+  Status rejection;
+  queue_mu_.Lock();
+  if (draining_) {
+    cancelled_.fetch_add(1, std::memory_order_relaxed);
+    rejection =
+        Status::Cancelled("service is shutting down; submission rejected");
+  } else if (options_.max_queue > 0 && queue_.size() >= options_.max_queue) {
+    // Load shedding: reject instead of growing the backlog, so a burst
+    // degrades into fast failures rather than unbounded latency.
+    shed_.fetch_add(1, std::memory_order_relaxed);
+    rejection = Status::ResourceExhausted(
+        "admission queue full (" + std::to_string(options_.max_queue) +
+        " tasks queued)");
   }
+  if (!rejection.ok()) {
+    queue_mu_.Unlock();
+    Resolve(task.done, std::move(rejection));
+    return;
+  }
+  if (!task.cache_key.empty()) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+  }
+  queue_.push_back(std::move(task));
+  admitted_.fetch_add(1, std::memory_order_relaxed);
+  queue_mu_.Unlock();
   queue_cv_.NotifyOne();
+}
+
+std::future<StatusOr<OutcomePtr>> QueryService::Submit(
+    std::string query, const CompareOptions& options, size_t max_results,
+    Deadline deadline, const CancelSource* cancel) {
+  std::promise<StatusOr<OutcomePtr>> promise;
+  std::future<StatusOr<OutcomePtr>> future = promise.get_future();
+  Submit(std::move(query), options, max_results, deadline, cancel,
+         PromiseCompletion(std::move(promise)));
   return future;
 }
 
@@ -386,8 +413,8 @@ void QueryService::WorkerLoop(QuerySession* session) {
     if (task.deadline != kNoDeadline &&
         std::chrono::steady_clock::now() >= task.deadline) {
       deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-      task.promise.set_value(
-          Status::DeadlineExceeded("task dequeued past its deadline"));
+      Resolve(task.done,
+              Status::DeadlineExceeded("task dequeued past its deadline"));
       continue;
     }
 
@@ -396,16 +423,16 @@ void QueryService::WorkerLoop(QuerySession* session) {
     // worker time on an answer nobody will read.
     if (task.cancel != nullptr && task.cancel->cancelled()) {
       cancelled_.fetch_add(1, std::memory_order_relaxed);
-      task.promise.set_value(
-          Status::Cancelled("request cancelled before evaluation"));
+      Resolve(task.done,
+              Status::Cancelled("request cancelled before evaluation"));
       continue;
     }
 
     // Injected evaluation failure (chaos suite): resolve like any other
-    // evaluation error — the promise is always satisfied.
+    // evaluation error — the task is always resolved.
     Status injected = fault::CheckFaultPoint(kFaultServiceWorker);
     if (!injected.ok()) {
-      task.promise.set_value(std::move(injected));
+      Resolve(task.done, std::move(injected));
       continue;
     }
 
@@ -426,7 +453,7 @@ void QueryService::WorkerLoop(QuerySession* session) {
       } else if (code == StatusCode::kCancelled) {
         cancelled_.fetch_add(1, std::memory_order_relaxed);
       }
-      task.promise.set_value(outcome.status());  // errors are not cached
+      Resolve(task.done, outcome.status());  // errors are not cached
       continue;
     }
     OutcomePtr shared =
@@ -434,7 +461,7 @@ void QueryService::WorkerLoop(QuerySession* session) {
     if (!task.cache_key.empty()) {
       CacheInsert(task.cache_key, task.epoch, shared);
     }
-    task.promise.set_value(std::move(shared));
+    Resolve(task.done, std::move(shared));
   }
 }
 

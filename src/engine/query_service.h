@@ -45,20 +45,33 @@
 // speed. Both are counted in admission_stats(). engine::ServiceRouter
 // (router.h) composes several QueryServices — one per named dataset —
 // behind a single Submit(dataset, ...) front-end.
+//
+// Completion delivery: Submit has one code path. Its primary form takes
+// a Completion — a callable that receives the request's
+// StatusOr<OutcomePtr> exactly once — and every way a request can end
+// (drain rejection, cache hit, shed, dequeue deadline, dequeue cancel,
+// injected fault, evaluation error, success, Shutdown's drained queue)
+// goes through engine::Resolve. The future-returning Submit/SubmitBatch
+// are thin wrappers that complete a std::promise. Event-driven callers
+// (the HTTP front-end) take the completion form and are woken by it
+// instead of polling futures.
 
 #ifndef XSACT_ENGINE_QUERY_SERVICE_H_
 #define XSACT_ENGINE_QUERY_SERVICE_H_
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <future>
 #include <list>
 #include <memory>
+#include <new>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -82,6 +95,93 @@ using Deadline = std::chrono::steady_clock::time_point;
 
 /// Sentinel deadline: the request may start arbitrarily late.
 inline constexpr Deadline kNoDeadline = Deadline::max();
+
+/// The callback form of a Submit result: a move-only callable taking a
+/// StatusOr<OutcomePtr>, run exactly once, through Resolve() only.
+///
+/// The callable lives inline — a Completion never allocates — so it
+/// must fit in kInlineBytes and be nothrow-move-constructible (capture
+/// a pointer, an id or a std::promise, not a container). Both limits
+/// are compile-time checks.
+class Completion {
+ public:
+  static constexpr size_t kInlineBytes = 4 * sizeof(void*);
+
+  Completion() = default;
+
+  // Implicit by design, like std::function: callers pass lambdas.
+  template <typename Fn,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<Fn>, Completion>>>
+  Completion(Fn&& fn) {  // NOLINT(google-explicit-constructor)
+    using Stored = std::decay_t<Fn>;
+    static_assert(sizeof(Stored) <= kInlineBytes &&
+                      alignof(Stored) <= alignof(std::max_align_t),
+                  "Completion callables are stored inline: capture less");
+    static_assert(std::is_nothrow_move_constructible_v<Stored>,
+                  "Completion callables must be nothrow-movable");
+    ::new (static_cast<void*>(storage_)) Stored(std::forward<Fn>(fn));
+    ops_ = &kOps<Stored>;
+  }
+
+  Completion(Completion&& other) noexcept { TakeFrom(other); }
+  Completion& operator=(Completion&& other) noexcept {
+    if (this != &other) {
+      Reset();
+      TakeFrom(other);
+    }
+    return *this;
+  }
+  Completion(const Completion&) = delete;
+  Completion& operator=(const Completion&) = delete;
+  ~Completion() { Reset(); }
+
+ private:
+  friend void Resolve(Completion& done, StatusOr<OutcomePtr> result);
+
+  struct Ops {
+    void (*invoke)(void* fn, StatusOr<OutcomePtr>* result);
+    void (*relocate)(void* from, void* to);
+    void (*destroy)(void* fn);
+  };
+
+  template <typename Stored>
+  static constexpr Ops kOps = {
+      [](void* fn, StatusOr<OutcomePtr>* result) {
+        (*static_cast<Stored*>(fn))(std::move(*result));
+      },
+      [](void* from, void* to) {
+        ::new (to) Stored(std::move(*static_cast<Stored*>(from)));
+        static_cast<Stored*>(from)->~Stored();
+      },
+      [](void* fn) { static_cast<Stored*>(fn)->~Stored(); },
+  };
+
+  void TakeFrom(Completion& other) noexcept {
+    if (other.ops_ == nullptr) return;
+    other.ops_->relocate(other.storage_, storage_);
+    ops_ = other.ops_;
+    other.ops_ = nullptr;
+  }
+  void Reset() noexcept {
+    if (ops_ == nullptr) return;
+    ops_->destroy(storage_);
+    ops_ = nullptr;
+  }
+
+  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
+  const Ops* ops_ = nullptr;
+};
+
+/// Runs `done` with `result` and leaves it empty: the single point
+/// through which every Submit resolves. Resolving an empty (already
+/// resolved) Completion aborts — a request ends exactly once.
+void Resolve(Completion& done, StatusOr<OutcomePtr> result);
+
+/// A Completion that fulfils `promise`: the bridge behind the
+/// future-returning Submit overloads. Allocation-free beyond the
+/// promise's own shared state.
+Completion PromiseCompletion(std::promise<StatusOr<OutcomePtr>> promise);
 
 /// Tuning knobs for a QueryService.
 struct QueryServiceOptions {
@@ -158,7 +258,7 @@ struct AdmissionStats {
 /// Multi-threaded query executor over one snapshot. See file comment.
 /// Thread-safe: Submit/SubmitBatch/cache_stats may be called from any
 /// thread. The destructor finishes all accepted work before returning,
-/// so every future obtained from Submit becomes ready.
+/// so every Submit's completion has run by then.
 class QueryService {
  public:
   explicit QueryService(SnapshotPtr snapshot,
@@ -168,18 +268,33 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Enqueues one SearchAndCompare; the future resolves to the outcome
-  /// (or the error status). Cache hits resolve immediately. Admission
-  /// control: when the queue holds max_queue tasks the request is shed
-  /// (ResourceExhausted); a task whose worker dequeues it at or past
-  /// `deadline` resolves to DeadlineExceeded without being evaluated.
+  /// Enqueues one SearchAndCompare; `done` receives the outcome (or the
+  /// error status) exactly once. Admission control: when the queue
+  /// holds max_queue tasks the request is shed (ResourceExhausted); a
+  /// task whose worker dequeues it at or past `deadline` resolves to
+  /// DeadlineExceeded without being evaluated.
   ///
   /// `cancel` (optional) is a caller-owned per-request cancel signal —
   /// the HTTP front-end fires it when the client disconnects. A task
   /// whose source has fired by dequeue time resolves to kCancelled
   /// without being evaluated; one that fires mid-evaluation stops at the
-  /// next cooperative check. The source must stay alive until the
-  /// returned future is ready.
+  /// next cooperative check. The source must stay alive until `done`
+  /// has run.
+  ///
+  /// Which thread runs `done`: the caller's, before Submit returns, for
+  /// a cache hit, a drain rejection or a shed; a worker's for every
+  /// dequeued task; Shutdown()'s caller for tasks it drains from the
+  /// queue. `done` never runs under a service lock, but it does run on
+  /// a worker or inside Submit/Shutdown, so it must not block: hand the
+  /// result off (push it on a queue, wake a loop, fulfil a promise) and
+  /// return.
+  void Submit(std::string query, const CompareOptions& options,
+              size_t max_results, Deadline deadline,
+              const CancelSource* cancel, Completion done)
+      XSACT_EXCLUDES(queue_mu_);
+
+  /// Future form of Submit above (a thin wrapper over it): the future
+  /// resolves to the outcome; cache hits resolve immediately.
   std::future<StatusOr<OutcomePtr>> Submit(std::string query,
                                            const CompareOptions& options = {},
                                            size_t max_results = 0,
@@ -208,8 +323,8 @@ class QueryService {
   /// cache), resolves all queued tasks with kCancelled, abandons
   /// pending reloads, and signals in-flight evaluations to stop at
   /// their next cooperative cancellation check. Idempotent; the
-  /// destructor still joins the workers. Every future obtained from
-  /// Submit still becomes ready.
+  /// destructor still joins the workers. Every Submit's completion still
+  /// runs exactly once.
   void Shutdown() XSACT_EXCLUDES(queue_mu_, drain_mu_);
 
   /// Per-shard cache capacities (empty when the cache is disabled).
@@ -272,7 +387,7 @@ class QueryService {
     /// Caller-owned per-request cancellation (client disconnect); may be
     /// null. Checked at dequeue and polled during evaluation.
     const CancelSource* cancel = nullptr;
-    std::promise<StatusOr<OutcomePtr>> promise;
+    Completion done;
   };
 
   /// One LRU shard: entries in recency order (front = most recent).

@@ -4,18 +4,6 @@
 
 namespace xsact::engine {
 
-namespace {
-
-/// Ready future carrying an error (for rejections that never enqueue).
-template <typename T>
-std::future<T> ReadyError(Status status) {
-  std::promise<T> promise;
-  promise.set_value(std::move(status));
-  return promise.get_future();
-}
-
-}  // namespace
-
 uint64_t RouterStats::total_shed() const {
   uint64_t total = 0;
   for (const DatasetStats& d : datasets) total += d.admission.shed;
@@ -69,25 +57,39 @@ StatusOr<ServiceRouter> ServiceRouter::Create(
   return ServiceRouter(std::move(services));
 }
 
+void ServiceRouter::Submit(std::string_view dataset, std::string query,
+                           const CompareOptions& options, size_t max_results,
+                           Deadline deadline, const CancelSource* cancel,
+                           Completion done) {
+  QueryService* target = service(dataset);
+  if (target == nullptr) {
+    Resolve(done, Status::NotFound("unknown dataset '" +
+                                   std::string(dataset) + "'"));
+    return;
+  }
+  target->Submit(std::move(query), options, max_results, deadline, cancel,
+                 std::move(done));
+}
+
 std::future<StatusOr<OutcomePtr>> ServiceRouter::Submit(
     std::string_view dataset, std::string query,
     const CompareOptions& options, size_t max_results, Deadline deadline,
     const CancelSource* cancel) {
-  QueryService* target = service(dataset);
-  if (target == nullptr) {
-    return ReadyError<StatusOr<OutcomePtr>>(Status::NotFound(
-        "unknown dataset '" + std::string(dataset) + "'"));
-  }
-  return target->Submit(std::move(query), options, max_results, deadline,
-                        cancel);
+  std::promise<StatusOr<OutcomePtr>> promise;
+  std::future<StatusOr<OutcomePtr>> future = promise.get_future();
+  Submit(dataset, std::move(query), options, max_results, deadline, cancel,
+         PromiseCompletion(std::move(promise)));
+  return future;
 }
 
 std::future<Status> ServiceRouter::ReloadCorpus(std::string_view dataset,
                                                 std::string path) {
   QueryService* target = service(dataset);
   if (target == nullptr) {
-    return ReadyError<Status>(Status::NotFound(
-        "unknown dataset '" + std::string(dataset) + "'"));
+    std::promise<Status> promise;
+    promise.set_value(
+        Status::NotFound("unknown dataset '" + std::string(dataset) + "'"));
+    return promise.get_future();
   }
   return target->ReloadCorpus(std::move(path));
 }

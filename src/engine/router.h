@@ -82,10 +82,16 @@ class ServiceRouter {
                                         const QueryServiceOptions& options = {});
 
   /// Routes the query to `dataset`'s service. Unknown datasets resolve
-  /// immediately to kNotFound; otherwise the semantics (caching,
-  /// shedding, deadlines, snapshot pinning, the caller-owned `cancel`
-  /// signal) are exactly QueryService::Submit on that dataset's service
-  /// — routed serving is byte-identical to direct per-service serving.
+  /// `done` immediately (on the caller's thread) to kNotFound; otherwise
+  /// the semantics (caching, shedding, deadlines, snapshot pinning, the
+  /// caller-owned `cancel` signal, which thread runs `done`) are exactly
+  /// QueryService::Submit on that dataset's service — routed serving is
+  /// byte-identical to direct per-service serving.
+  void Submit(std::string_view dataset, std::string query,
+              const CompareOptions& options, size_t max_results,
+              Deadline deadline, const CancelSource* cancel, Completion done);
+
+  /// Future form of Submit above (a thin wrapper over it).
   std::future<StatusOr<OutcomePtr>> Submit(std::string_view dataset,
                                            std::string query,
                                            const CompareOptions& options = {},

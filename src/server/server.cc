@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -21,8 +22,6 @@
 namespace xsact::server {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 // Fault points on every transport path (docs/robustness.md). A fired
 // fault is handled exactly like the real I/O error it models: the
@@ -40,6 +39,24 @@ const fault::FaultPointId kFaultWrite =
 /// request currently being parsed don't count against this: the parser
 /// consumes them immediately, bounded by its own HttpParserLimits.)
 constexpr size_t kMaxBufferedInput = 64 * 1024;
+
+/// How long the listener rests after accept() runs out of descriptors
+/// (EMFILE and kin). The refused connection stays queued, so the
+/// listener stays readable; polling it meanwhile would spin the loop.
+constexpr std::chrono::milliseconds kAcceptBackoff(100);
+
+/// Grace window after the forced drain for flushing the cancellations.
+constexpr std::chrono::milliseconds kForcedDrainGrace(1000);
+
+/// poll() timeout that sleeps until `at` (rounded up), -1 for never.
+int PollTimeoutMs(std::chrono::steady_clock::time_point now,
+                  std::chrono::steady_clock::time_point at) {
+  if (at == std::chrono::steady_clock::time_point::max()) return -1;
+  if (at <= now) return 0;
+  const auto ms =
+      std::chrono::ceil<std::chrono::milliseconds>(at - now).count();
+  return static_cast<int>(std::min<decltype(ms)>(ms, INT_MAX));
+}
 
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -70,12 +87,15 @@ void AppendCounter(std::string* out, std::string_view name, uint64_t value,
 }  // namespace
 
 struct HttpServer::Connection {
-  Connection(int fd, const HttpParserLimits& limits, Clock::time_point now)
-      : fd(fd),
+  Connection(uint64_t id, int fd, const HttpParserLimits& limits,
+             Clock::time_point now)
+      : id(id),
+        fd(fd),
         parser(limits),
         last_read(now),
         last_write_progress(now) {}
 
+  uint64_t id;
   int fd = -1;
   HttpParser parser;
   /// Received-but-unparsed bytes: pipelined requests, or input arriving
@@ -88,9 +108,9 @@ struct HttpServer::Connection {
   bool close_after_flush = false;
   bool request_keep_alive = true;
   /// Engine round-trip state. `cancel` must stay at a stable address and
-  /// alive until `future` is ready — the engine may read it until then.
+  /// alive until the request's completion has run — the engine may read
+  /// it until then.
   bool awaiting = false;
-  std::future<StatusOr<engine::OutcomePtr>> future;
   std::unique_ptr<CancelSource> cancel;
 };
 
@@ -98,31 +118,31 @@ HttpServer::HttpServer(engine::ServiceRouter* router, ServerOptions options)
     : router_(router), options_(std::move(options)) {}
 
 HttpServer::~HttpServer() {
-  // Live or zombie, a connection whose engine future is unresolved may
-  // still be referenced by the engine (its CancelSource): block until
-  // the future resolves before destroying it.
-  for (auto& conn : connections_) {
-    if (conn->awaiting) conn->future.wait();
-    if (conn->fd >= 0) ::close(conn->fd);
+  // An outstanding completion will call Deliver() on this object, and
+  // its engine task may read a connection's CancelSource until then:
+  // free nothing before every one has run. The engine resolves every
+  // request it accepted, so the wait ends.
+  {
+    MutexLock lock(completion_mu_);
+    while (outstanding_ > 0) completion_cv_.Wait(completion_mu_);
   }
-  for (auto& conn : zombies_) {
-    if (conn->awaiting) conn->future.wait();
+  for (auto& conn : connections_) {
     if (conn->fd >= 0) ::close(conn->fd);
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (stop_pipe_[0] >= 0) ::close(stop_pipe_[0]);
-  if (stop_pipe_[1] >= 0) ::close(stop_pipe_[1]);
+  if (wake_pipe_[0] >= 0) ::close(wake_pipe_[0]);
+  if (wake_pipe_[1] >= 0) ::close(wake_pipe_[1]);
 }
 
 Status HttpServer::Start() {
   if (listen_fd_ >= 0) return Status::Ok();
-  if (::pipe(stop_pipe_) != 0) {
+  if (::pipe(wake_pipe_) != 0) {
     return Status::IoError("pipe(): " + ErrnoString(errno));
   }
-  SetNonBlocking(stop_pipe_[0]);
-  SetNonBlocking(stop_pipe_[1]);
-  ::fcntl(stop_pipe_[0], F_SETFD, FD_CLOEXEC);
-  ::fcntl(stop_pipe_[1], F_SETFD, FD_CLOEXEC);
+  SetNonBlocking(wake_pipe_[0]);
+  SetNonBlocking(wake_pipe_[1]);
+  ::fcntl(wake_pipe_[0], F_SETFD, FD_CLOEXEC);
+  ::fcntl(wake_pipe_[1], F_SETFD, FD_CLOEXEC);
 
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
@@ -166,10 +186,26 @@ Status HttpServer::Start() {
 
 void HttpServer::Stop() {
   stop_requested_.store(true, std::memory_order_release);
-  if (stop_pipe_[1] >= 0) {
-    const char byte = 's';
-    [[maybe_unused]] const ssize_t n = ::write(stop_pipe_[1], &byte, 1);
-  }
+  WakeLoop();
+}
+
+void HttpServer::WakeLoop() {
+  if (wake_pipe_[1] < 0) return;
+  const char byte = 'w';
+  // EAGAIN means the pipe is full: the loop is already due to wake.
+  [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
+}
+
+void HttpServer::Deliver(uint64_t connection_id,
+                         StatusOr<engine::OutcomePtr> result) {
+  MutexLock lock(completion_mu_);
+  // One byte per empty → non-empty transition: the loop empties the
+  // queue after draining the pipe, so a later push always writes again.
+  if (completed_.empty()) WakeLoop();
+  completed_.push_back({connection_id, std::move(result)});
+  // Last touch of the server by this thread: notify under the lock so
+  // the destructor cannot free the CondVar between decrement and notify.
+  if (--outstanding_ == 0) completion_cv_.NotifyAll();
 }
 
 ServerStats HttpServer::stats() const {
@@ -185,12 +221,13 @@ ServerStats HttpServer::stats() const {
   s.disconnects = disconnects_.load(std::memory_order_relaxed);
   s.cancelled_by_disconnect =
       cancelled_by_disconnect_.load(std::memory_order_relaxed);
+  s.accept_errors = accept_errors_.load(std::memory_order_relaxed);
   return s;
 }
 
 void HttpServer::Run() {
   bool forced = false;
-  Clock::time_point hard_deadline{};
+  Clock::time_point hard_deadline = Clock::time_point::max();
   std::vector<pollfd> fds;
 
   while (true) {
@@ -201,7 +238,8 @@ void HttpServer::Run() {
         !draining_.load(std::memory_order_acquire)) {
       BeginDrain();
     }
-    if (draining_.load(std::memory_order_acquire)) {
+    const bool draining = draining_.load(std::memory_order_acquire);
+    if (draining) {
       // Idle keep-alive connections have nothing to finish: close them.
       for (auto& conn : connections_) {
         if (conn && !conn->parser.started() && !conn->awaiting &&
@@ -212,89 +250,75 @@ void HttpServer::Run() {
       connections_.erase(
           std::remove(connections_.begin(), connections_.end(), nullptr),
           connections_.end());
-      if (connections_.empty() && zombies_.empty()) break;
+      // Detached connections have no peer left to answer; the destructor
+      // waits for their completions.
+      if (connections_.empty()) break;
       if (!forced && now >= drain_deadline_) {
         ForceDrain();
         forced = true;
-        hard_deadline = now + std::chrono::milliseconds(1000);
+        hard_deadline = now + kForcedDrainGrace;
       }
       if (forced && now >= hard_deadline) {
-        // Stragglers: the engine has been Shutdown(), so every future
-        // WILL resolve; wait it out rather than freeing a CancelSource
-        // the engine might still read.
+        // Peers still not done after the grace window are dropped; a
+        // request still with the engine detaches like a disconnect (its
+        // cancel already fired in ForceDrain).
         for (auto& conn : connections_) {
-          // LINT:ALLOW(blocking-call): post-ForceDrain only; the engine
-          // is Shutdown() so the future resolves within one cooperative
-          // cancellation check, and the loop is exiting anyway.
-          if (conn->awaiting) conn->future.wait();
           ::close(conn->fd);
           conn->fd = -1;
+          if (conn->awaiting) detached_.push_back(std::move(conn));
         }
         connections_.clear();
-        for (auto& conn : zombies_) {
-          // LINT:ALLOW(blocking-call): same post-ForceDrain guarantee.
-          if (conn->awaiting) conn->future.wait();
-          ::close(conn->fd);
-          conn->fd = -1;
-        }
-        zombies_.clear();
         break;
       }
     }
 
-    // --- build the poll set -------------------------------------------
+    // --- build the poll set and its timeout ---------------------------
     fds.clear();
-    fds.push_back({stop_pipe_[0], POLLIN, 0});
+    fds.push_back({wake_pipe_[0], POLLIN, 0});
+    // The external wakeup fd stays readable once it fires (it is not
+    // ours to drain): stop watching it after it started the drain.
+    const bool watch_wakeup = options_.wakeup_fd >= 0 && !draining;
     const size_t wakeup_slot = fds.size();
-    if (options_.wakeup_fd >= 0) {
-      fds.push_back({options_.wakeup_fd, POLLIN, 0});
-    }
+    if (watch_wakeup) fds.push_back({options_.wakeup_fd, POLLIN, 0});
+    Clock::time_point wake_at = Clock::time_point::max();
+    if (draining) wake_at = forced ? hard_deadline : drain_deadline_;
     const size_t listen_slot = fds.size();
-    if (listener_open_) {
+    const bool accepting = listener_open_ && now >= accept_resume_at_;
+    if (accepting) {
       fds.push_back({listen_fd_, POLLIN, 0});
+    } else if (listener_open_) {
+      wake_at = std::min(wake_at, accept_resume_at_);
     }
     const size_t conn_base = fds.size();
     const size_t num_conns = connections_.size();
-    bool any_awaiting = !zombies_.empty();
     for (const auto& conn : connections_) {
-      short events = 0;
-      if (conn->outbuf.size() > conn->out_off) events |= POLLOUT;
-      // Always watch for input/EOF: disconnects must be seen even while
+      short events = POLLIN;
+      // Input/EOF is always watched: disconnects must be seen even while
       // the engine is busy on this connection's request.
-      events |= POLLIN;
+      if (conn->outbuf.size() > conn->out_off) events |= POLLOUT;
       fds.push_back({conn->fd, events, 0});
-      if (conn->awaiting) any_awaiting = true;
+      wake_at = std::min(wake_at, TimeoutAt(*conn));
     }
 
-    // Tick: engine futures have no fd, so poll briefly while any are
-    // pending; otherwise sleep until the nearest timeout could fire.
-    int tick_ms = any_awaiting ? 2 : 50;
-    if (draining_.load(std::memory_order_acquire)) {
-      tick_ms = std::min(tick_ms, 10);
-    }
-    const int ready = ::poll(fds.data(), fds.size(), tick_ms);
+    const int ready =
+        ::poll(fds.data(), fds.size(), PollTimeoutMs(now, wake_at));
     if (ready < 0 && errno != EINTR) break;  // poll itself failed: bail
 
     const Clock::time_point after = Clock::now();
 
-    // --- wakeups -------------------------------------------------------
+    // --- wakeups and delivered results ---------------------------------
     if (fds[0].revents & POLLIN) {
+      // Drain the pipe BEFORE taking the queue: a result pushed after
+      // this read writes a fresh byte, so no wakeup is lost.
       char buf[64];
-      while (::read(stop_pipe_[0], buf, sizeof(buf)) > 0) {
+      while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
       }
-      BeginDrain();
     }
-    if (options_.wakeup_fd >= 0 && (fds[wakeup_slot].revents & POLLIN)) {
-      // Do not drain the external pipe — other loops may share it.
-      BeginDrain();
-    }
+    if (watch_wakeup && (fds[wakeup_slot].revents & POLLIN)) BeginDrain();
+    DrainCompletions();
 
     // --- accept --------------------------------------------------------
-    if (listener_open_ && fds.size() > listen_slot &&
-        fds[listen_slot].fd == listen_fd_ &&
-        (fds[listen_slot].revents & POLLIN)) {
-      AcceptPending();
-    }
+    if (accepting && (fds[listen_slot].revents & POLLIN)) AcceptPending();
 
     // --- per-connection events ----------------------------------------
     for (size_t i = 0; i < num_conns; ++i) {
@@ -305,11 +329,6 @@ void HttpServer::Run() {
       if (revents & (POLLIN | POLLHUP | POLLERR)) {
         alive = HandleReadable(conn.get());
       }
-      if (alive && conn->awaiting &&
-          conn->future.wait_for(std::chrono::seconds(0)) ==
-              std::future_status::ready) {
-        FinishQuery(conn.get());
-      }
       if (alive && conn->outbuf.size() > conn->out_off) {
         alive = HandleWritable(conn.get());
       }
@@ -317,37 +336,44 @@ void HttpServer::Run() {
       if (!alive) CloseConnection(std::move(conn));
     }
 
-    // Futures can become ready with no socket activity at all.
-    for (auto& conn : connections_) {
-      if (!conn || !conn->awaiting) continue;
-      if (conn->future.wait_for(std::chrono::seconds(0)) ==
-          std::future_status::ready) {
-        FinishQuery(conn.get());
-        if (conn->outbuf.size() > conn->out_off) {
-          if (!HandleWritable(conn.get())) CloseConnection(std::move(conn));
-        }
-      }
-    }
-
     connections_.erase(
         std::remove(connections_.begin(), connections_.end(), nullptr),
         connections_.end());
-
-    // Reap zombies whose engine work has resolved.
-    zombies_.erase(
-        std::remove_if(zombies_.begin(), zombies_.end(),
-                       [](const std::unique_ptr<Connection>& conn) {
-                         return conn->future.wait_for(
-                                    std::chrono::seconds(0)) ==
-                                std::future_status::ready;
-                       }),
-        zombies_.end());
   }
 
   if (listener_open_) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     listener_open_ = false;
+  }
+}
+
+void HttpServer::DrainCompletions() {
+  std::vector<Completed> batch;
+  {
+    MutexLock lock(completion_mu_);
+    batch.swap(completed_);
+  }
+  for (Completed& done : batch) {
+    const auto same_id = [&](const std::unique_ptr<Connection>& conn) {
+      return conn != nullptr && conn->id == done.connection_id;
+    };
+    const auto detached =
+        std::find_if(detached_.begin(), detached_.end(), same_id);
+    if (detached != detached_.end()) {
+      // Nobody to answer; the engine is done with the CancelSource.
+      detached_.erase(detached);
+      continue;
+    }
+    const auto live =
+        std::find_if(connections_.begin(), connections_.end(), same_id);
+    if (live == connections_.end()) continue;
+    FinishQuery(live->get(), done.result);
+    // Flush now rather than after another trip through poll().
+    if ((*live)->outbuf.size() > (*live)->out_off &&
+        !HandleWritable(live->get())) {
+      CloseConnection(std::move(*live));
+    }
   }
 }
 
@@ -372,7 +398,7 @@ void HttpServer::ForceDrain() {
   for (auto& conn : connections_) {
     if (conn->cancel) conn->cancel->Cancel();
   }
-  for (auto& conn : zombies_) {
+  for (auto& conn : detached_) {
     if (conn->cancel) conn->cancel->Cancel();
   }
 }
@@ -382,9 +408,18 @@ void HttpServer::AcceptPending() {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
-      // Transient accept failures (EMFILE, ECONNABORTED...) must not
-      // kill the loop; try again next tick.
+      const int err = errno;
+      if (err == EAGAIN || err == EWOULDBLOCK) return;
+      if (err == EINTR) continue;
+      // Accept failures must not kill the loop. Out of descriptors or
+      // memory, the refused connection stays queued and the listener
+      // stays readable: rest it (Run() leaves it out of the poll set)
+      // until the backoff passes or a connection closes.
+      accept_errors_.fetch_add(1, std::memory_order_relaxed);
+      if (err == EMFILE || err == ENFILE || err == ENOBUFS ||
+          err == ENOMEM) {
+        accept_resume_at_ = Clock::now() + kAcceptBackoff;
+      }
       return;
     }
     const Status fault = fault::CheckFaultPoint(kFaultAccept);
@@ -392,7 +427,7 @@ void HttpServer::AcceptPending() {
       ::close(fd);
       continue;
     }
-    if (connections_.size() + zombies_.size() >= options_.max_connections) {
+    if (connections_.size() + detached_.size() >= options_.max_connections) {
       rejected_at_capacity_.fetch_add(1, std::memory_order_relaxed);
       HttpResponse resp;
       resp.code = 503;
@@ -409,7 +444,7 @@ void HttpServer::AcceptPending() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     accepted_.fetch_add(1, std::memory_order_relaxed);
     connections_.push_back(std::make_unique<Connection>(
-        fd, options_.parser_limits, Clock::now()));
+        next_connection_id_++, fd, options_.parser_limits, Clock::now()));
   }
 }
 
@@ -430,8 +465,8 @@ bool HttpServer::HandleReadable(Connection* conn) {
     }
     if (n == 0) {
       // Peer closed. CloseConnection fires the request's cancel if the
-      // engine still owns one and keeps the object alive (as a zombie)
-      // until the future resolves.
+      // engine still owns one and keeps the object alive (detached)
+      // until its completion arrives.
       if (conn->awaiting || conn->parser.started() ||
           conn->outbuf.size() > conn->out_off) {
         disconnects_.fetch_add(1, std::memory_order_relaxed);
@@ -509,35 +544,39 @@ bool HttpServer::HandleWritable(Connection* conn) {
   return !conn->close_after_flush;  // flushed; close if requested
 }
 
+HttpServer::Clock::time_point HttpServer::TimeoutAt(
+    const Connection& conn) const {
+  using std::chrono::milliseconds;
+  // A pending response: the write timer governs while flushing.
+  if (conn.outbuf.size() > conn.out_off) {
+    return conn.last_write_progress + milliseconds(options_.write_timeout_ms);
+  }
+  if (conn.awaiting || conn.close_after_flush) return Clock::time_point::max();
+  if (conn.parser.started()) {
+    return conn.last_read + milliseconds(options_.read_timeout_ms);
+  }
+  return conn.last_read + milliseconds(options_.idle_timeout_ms);
+}
+
 bool HttpServer::CheckTimeouts(Connection* conn, Clock::time_point now) {
+  if (now <= TimeoutAt(*conn)) return true;
   if (conn->outbuf.size() > conn->out_off) {
     // A response is pending and the peer isn't reading it.
-    if (now - conn->last_write_progress >
-        std::chrono::milliseconds(options_.write_timeout_ms)) {
-      timeouts_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    return true;  // write timer governs while flushing
+    timeouts_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
-  if (conn->awaiting || conn->close_after_flush) return true;
-  if (conn->parser.started()) {
-    // Mid-request silence: slow-loris. Answer 408 and close.
-    if (now - conn->last_read >
-        std::chrono::milliseconds(options_.read_timeout_ms)) {
-      timeouts_.fetch_add(1, std::memory_order_relaxed);
-      responses_error_.fetch_add(1, std::memory_order_relaxed);
-      HttpResponse resp;
-      resp.code = 408;
-      resp.body = ErrorJson(408, "request not completed within " +
-                                     std::to_string(options_.read_timeout_ms) +
-                                     " ms");
-      resp.close = true;
-      QueueResponse(conn, std::move(resp));
-    }
-  } else if (now - conn->last_read >
-             std::chrono::milliseconds(options_.idle_timeout_ms)) {
-    return false;  // idle keep-alive connection: close silently
-  }
+  // Idle keep-alive connection: close silently.
+  if (!conn->parser.started()) return false;
+  // Mid-request silence: slow-loris. Answer 408 and close.
+  timeouts_.fetch_add(1, std::memory_order_relaxed);
+  responses_error_.fetch_add(1, std::memory_order_relaxed);
+  HttpResponse resp;
+  resp.code = 408;
+  resp.body = ErrorJson(408, "request not completed within " +
+                                 std::to_string(options_.read_timeout_ms) +
+                                 " ms");
+  resp.close = true;
+  QueueResponse(conn, std::move(resp));
   return true;
 }
 
@@ -667,15 +706,24 @@ void HttpServer::DispatchRequest(Connection* conn) {
           ? Clock::now() + std::chrono::milliseconds(timeout_ms)
           : engine::kNoDeadline;
   conn->cancel = std::make_unique<CancelSource>();
-  conn->future = router_->Submit(dataset, std::move(query), copts,
-                                 max_results, deadline, conn->cancel.get());
   conn->awaiting = true;
+  {
+    MutexLock lock(completion_mu_);
+    ++outstanding_;
+  }
+  // The completion may run right here (cache hit, rejection) or on a
+  // worker; either way it only queues the result for DrainCompletions.
+  router_->Submit(dataset, std::move(query), copts, max_results, deadline,
+                  conn->cancel.get(),
+                  [this, id = conn->id](StatusOr<engine::OutcomePtr> result) {
+                    Deliver(id, std::move(result));
+                  });
 }
 
-void HttpServer::FinishQuery(Connection* conn) {
-  StatusOr<engine::OutcomePtr> result = conn->future.get();
+void HttpServer::FinishQuery(Connection* conn,
+                             const StatusOr<engine::OutcomePtr>& result) {
   conn->awaiting = false;
-  // The future is ready: the engine can no longer dereference the
+  // The completion has run: the engine can no longer dereference the
   // cancel source, so its lifetime obligation has ended.
   conn->cancel.reset();
 
@@ -725,21 +773,19 @@ void HttpServer::CloseConnection(std::unique_ptr<Connection> conn) {
   if (conn->fd >= 0) {
     ::close(conn->fd);
     conn->fd = -1;
+    // A freed descriptor is what a resting listener waits for.
+    accept_resume_at_ = Clock::time_point::min();
   }
-  if (conn->awaiting) {
-    // Every close path — EOF, recv/write errors, timeouts, floods —
-    // abandons in-flight engine work, not just clean EOF.
-    if (conn->cancel) {
-      cancelled_by_disconnect_.fetch_add(1, std::memory_order_relaxed);
-      conn->cancel->Cancel();
-    }
-    if (conn->future.wait_for(std::chrono::seconds(0)) !=
-        std::future_status::ready) {
-      // Engine work still references conn->cancel: keep the object
-      // alive until the future resolves (reaped in Run's zombie pass).
-      zombies_.push_back(std::move(conn));
-    }
+  if (!conn->awaiting) return;
+  // Every close path — EOF, recv/write errors, timeouts, floods —
+  // abandons in-flight engine work, not just clean EOF.
+  if (conn->cancel) {
+    cancelled_by_disconnect_.fetch_add(1, std::memory_order_relaxed);
+    conn->cancel->Cancel();
   }
+  // Engine work still references conn->cancel: keep the object alive
+  // until its completion arrives (DrainCompletions frees it).
+  detached_.push_back(std::move(conn));
 }
 
 std::string HttpServer::HandleHealthz() const {
@@ -770,6 +816,7 @@ std::string HttpServer::HandleStatz() const {
   AppendCounter(&out, "disconnects", s.disconnects, &first);
   AppendCounter(&out, "cancelled_by_disconnect", s.cancelled_by_disconnect,
                 &first);
+  AppendCounter(&out, "accept_errors", s.accept_errors, &first);
   out += "},\"draining\":";
   out += draining_.load(std::memory_order_acquire) ? "true" : "false";
   out += ",\"router\":";

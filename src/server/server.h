@@ -27,7 +27,22 @@
 //     it to common/shutdown_signal.h for SIGTERM/SIGINT) closes the
 //     listener, lets in-flight requests finish within drain_budget_ms,
 //     then hard-cancels the engine via QueryService::Shutdown() and
-//     resolves every remaining connection before Run() returns.
+//     answers every remaining connection before Run() returns.
+//
+// Completion-driven loop: queries go to the router's completion form of
+// Submit. The completion runs on whichever thread resolves the request
+// (an engine worker, or the loop itself for a cache hit or an immediate
+// rejection); it pushes {connection id, result} onto a loop-owned,
+// lock-guarded queue and writes one byte to the loop's self-pipe when
+// that queue goes from empty to non-empty. poll() therefore sleeps until
+// a socket is ready, a result arrives, or the earliest read/idle/write/
+// drain deadline passes — there is no periodic tick. A connection whose
+// peer leaves mid-evaluation is closed and kept detached until its
+// completion arrives (the engine may read its CancelSource until then);
+// the destructor waits for every outstanding completion, so none can
+// touch a freed server. When accept() runs out of descriptors the
+// listener rests for a short fixed backoff (or until a connection
+// closes) instead of spinning on its readability.
 //
 // Endpoints (full contract in docs/serving.md):
 //   GET /query?dataset=D&q=Q[&max_results=N][&timeout_ms=T][&lift=TAG]
@@ -39,7 +54,8 @@
 //
 // Threading: Start() may be called from any thread; Run() occupies the
 // calling thread until drain completes; Stop() and stats() are safe from
-// any thread. All connection state is owned by the Run() thread.
+// any thread. All connection state is owned by the Run() thread; the
+// completion queue is the one structure shared with engine workers.
 
 #ifndef XSACT_SERVER_SERVER_H_
 #define XSACT_SERVER_SERVER_H_
@@ -47,12 +63,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/cancellation.h"
+#include "common/mutex.h"
 #include "common/statusor.h"
 #include "common/thread_annotations.h"
 #include "engine/query_service.h"
@@ -100,6 +116,7 @@ struct ServerStats {
   uint64_t timeouts = 0;         ///< read/idle/write timeout closes
   uint64_t disconnects = 0;      ///< peers gone mid-request/mid-response
   uint64_t cancelled_by_disconnect = 0;  ///< engine work abandoned
+  uint64_t accept_errors = 0;    ///< failed accept() calls (e.g. EMFILE)
 };
 
 /// See file comment. Not copyable/movable (connections hold pointers
@@ -111,7 +128,9 @@ class HttpServer {
   /// thread-safe).
   explicit HttpServer(engine::ServiceRouter* router,
                       ServerOptions options = {});
-  ~HttpServer();
+  /// Waits for every outstanding engine completion before freeing
+  /// anything, so Run() must have returned (or never run).
+  ~HttpServer() XSACT_EXCLUDES(completion_mu_);
 
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
@@ -127,10 +146,10 @@ class HttpServer {
   /// readability, or a fatal listener error). Blocks the calling thread.
   /// The XSACT_EVENT_LOOP_THREAD marker (here and on the private
   /// handlers below) feeds tools/lint/run_lint.py: the bodies of marked
-  /// functions must not block — no sleeps, no file IO, no unbounded
-  /// future waits — because one stalled callback stalls every
-  /// connection this loop serves.
-  XSACT_EVENT_LOOP_THREAD void Run();
+  /// functions must not block — no sleeps, no file IO, no waits on
+  /// futures — because one stalled callback stalls every connection
+  /// this loop serves.
+  XSACT_EVENT_LOOP_THREAD void Run() XSACT_EXCLUDES(completion_mu_);
 
   /// Requests a graceful drain (thread-safe, idempotent, returns
   /// immediately). Run() returns once the drain finishes.
@@ -146,31 +165,58 @@ class HttpServer {
 
  private:
   struct Connection;
+  using Clock = std::chrono::steady_clock;
+
+  /// A resolved engine request on its way back to the loop.
+  struct Completed {
+    uint64_t connection_id;
+    StatusOr<engine::OutcomePtr> result;
+  };
 
   XSACT_EVENT_LOOP_THREAD void AcceptPending();
   /// Reads whatever the socket has; feeds the parser; may queue a
   /// response. False = connection must be destroyed.
-  XSACT_EVENT_LOOP_THREAD bool HandleReadable(Connection* conn);
+  XSACT_EVENT_LOOP_THREAD bool HandleReadable(Connection* conn)
+      XSACT_EXCLUDES(completion_mu_);
   /// Flushes pending output. False = connection must be destroyed.
   XSACT_EVENT_LOOP_THREAD bool HandleWritable(Connection* conn);
   /// Feeds buffered input through the parser, dispatching each complete
   /// request, until it needs more bytes, fails, or parks on the engine.
-  XSACT_EVENT_LOOP_THREAD void ParseBuffered(Connection* conn);
+  XSACT_EVENT_LOOP_THREAD void ParseBuffered(Connection* conn)
+      XSACT_EXCLUDES(completion_mu_);
   /// Routes one parsed request; either queues a response or parks the
-  /// connection on an engine future.
-  XSACT_EVENT_LOOP_THREAD void DispatchRequest(Connection* conn);
-  /// Resolves a ready engine future into a response.
-  XSACT_EVENT_LOOP_THREAD void FinishQuery(Connection* conn);
+  /// connection on the engine (its completion comes back via Deliver).
+  XSACT_EVENT_LOOP_THREAD void DispatchRequest(Connection* conn)
+      XSACT_EXCLUDES(completion_mu_);
+  /// Completion target, run on the thread that resolves the request:
+  /// queues the result for the loop and wakes it on the empty →
+  /// non-empty transition. Never blocks beyond completion_mu_.
+  void Deliver(uint64_t connection_id, StatusOr<engine::OutcomePtr> result)
+      XSACT_EXCLUDES(completion_mu_);
+  /// Hands every delivered result to its connection (FinishQuery) or,
+  /// for a detached connection, frees it.
+  XSACT_EVENT_LOOP_THREAD void DrainCompletions()
+      XSACT_EXCLUDES(completion_mu_);
+  /// Turns an engine result into the connection's response.
+  XSACT_EVENT_LOOP_THREAD void FinishQuery(
+      Connection* conn, const StatusOr<engine::OutcomePtr>& result)
+      XSACT_EXCLUDES(completion_mu_);
   XSACT_EVENT_LOOP_THREAD void QueueResponse(Connection* conn,
                                              HttpResponse response);
   XSACT_EVENT_LOOP_THREAD void CloseConnection(
       std::unique_ptr<Connection> conn);
+  /// When the connection's current read/idle/write timer expires;
+  /// Clock::time_point::max() when none runs (awaiting the engine).
+  Clock::time_point TimeoutAt(const Connection& conn) const;
   /// Applies read/idle/write timeouts; true = connection survived.
-  XSACT_EVENT_LOOP_THREAD bool CheckTimeouts(
-      Connection* conn, std::chrono::steady_clock::time_point now);
+  XSACT_EVENT_LOOP_THREAD bool CheckTimeouts(Connection* conn,
+                                             Clock::time_point now);
   XSACT_EVENT_LOOP_THREAD void BeginDrain();
-  /// Hard phase: cancel engine work, then resolve stragglers.
+  /// Hard phase: cancel all engine work. Run() then answers the
+  /// stragglers as their completions arrive.
   XSACT_EVENT_LOOP_THREAD void ForceDrain();
+  /// Makes poll() return (thread-safe; a full pipe already means so).
+  void WakeLoop();
 
   XSACT_EVENT_LOOP_THREAD std::string HandleHealthz() const;
   XSACT_EVENT_LOOP_THREAD std::string HandleStatz() const;
@@ -179,17 +225,30 @@ class HttpServer {
   ServerOptions options_;
   int listen_fd_ = -1;
   int port_ = 0;
-  /// Self-pipe waking poll() from Stop().
-  int stop_pipe_[2] = {-1, -1};
+  /// Self-pipe waking poll() from Stop() and from delivered completions.
+  int wake_pipe_[2] = {-1, -1};
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> draining_{false};
-  std::chrono::steady_clock::time_point drain_deadline_{};
+  Clock::time_point drain_deadline_{};
   bool listener_open_ = false;
+  /// While accept() is out of descriptors the listener leaves the poll
+  /// set until this time (or until a connection closes).
+  Clock::time_point accept_resume_at_{};
 
   std::vector<std::unique_ptr<Connection>> connections_;
-  /// Disconnected peers whose engine future (and the CancelSource it
-  /// may dereference) is not ready yet — kept alive until it is.
-  std::vector<std::unique_ptr<Connection>> zombies_;
+  /// Closed connections whose engine request is still outstanding: the
+  /// engine may read their CancelSource, so each is freed only when its
+  /// completion arrives.
+  std::vector<std::unique_ptr<Connection>> detached_;
+  uint64_t next_connection_id_ = 0;
+
+  /// Shared with the threads that run completions.
+  Mutex completion_mu_;
+  /// Signalled when outstanding_ drops to zero (the destructor waits).
+  CondVar completion_cv_;
+  std::vector<Completed> completed_ XSACT_GUARDED_BY(completion_mu_);
+  /// Submitted requests whose completion has not run yet.
+  size_t outstanding_ XSACT_GUARDED_BY(completion_mu_) = 0;
 
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> rejected_at_capacity_{0};
@@ -200,6 +259,7 @@ class HttpServer {
   std::atomic<uint64_t> timeouts_{0};
   std::atomic<uint64_t> disconnects_{0};
   std::atomic<uint64_t> cancelled_by_disconnect_{0};
+  std::atomic<uint64_t> accept_errors_{0};
 };
 
 /// Serializes RouterStats (per-dataset cache/admission/health counters

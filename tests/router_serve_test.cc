@@ -1,16 +1,23 @@
 // ServiceRouter tests: routing correctness (byte-identity to direct
 // QueryService serving and to the single-threaded reference), admission
 // control (deadline-exceeded outcomes, queue-full load shedding), stats
-// aggregation across datasets, and per-dataset hot reload routing.
+// aggregation across datasets, per-dataset hot reload routing, and the
+// completion form of Submit (every resolution path runs the completion
+// exactly once, with the right code, even against a racing Shutdown).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <deque>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/cancellation.h"
+#include "common/faultpoint.h"
 #include "data/product_reviews.h"
 #include "engine/query_service.h"
 #include "engine/router.h"
@@ -370,6 +377,256 @@ TEST_F(RouterServeTest, CorruptDatasetDegradesAloneAndReportsHealth) {
 
   std::remove(corrupt_path.c_str());
   std::remove(good_path.c_str());
+}
+
+// ---- completion form of Submit ---------------------------------------
+
+/// What one completion received. The completion writes the fields, then
+/// bumps `calls` (release); readers observe `calls` (acquire) first.
+struct Recorder {
+  std::atomic<int> calls{0};
+  StatusCode code = StatusCode::kOk;
+  std::string fingerprint;
+
+  Completion Sink() {
+    return [this](StatusOr<OutcomePtr> result) {
+      code = result.status().code();
+      fingerprint = Fingerprint(result);
+      calls.fetch_add(1, std::memory_order_release);
+    };
+  }
+
+  /// Ran already (synchronous resolution paths).
+  bool Resolved() const { return calls.load(std::memory_order_acquire) > 0; }
+
+  /// Waits up to 10 s for the completion; false if it never ran.
+  bool Await() const {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!Resolved()) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+};
+
+class CompletionTest : public RouterServeTest {
+ protected:
+  void SetUp() override {
+    RouterServeTest::SetUp();
+    fault::DisarmAllFaultPoints();
+  }
+  void TearDown() override { fault::DisarmAllFaultPoints(); }
+
+  /// Arms `site` to fail every hit with `code` (kOk = latency only).
+  static void Arm(const char* site, StatusCode code, int delay_ms = 0) {
+    fault::FaultSpec spec;
+    spec.code = code;
+    spec.delay_ms = delay_ms;
+    ASSERT_TRUE(fault::ArmFaultPointByName(site, spec)) << site;
+  }
+
+  /// Polls until `service` has handed every queued task to a worker.
+  static void AwaitEmptyQueue(const QueryService& service) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (service.admission_stats().queue_depth > 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+};
+
+// Each resolution path of QueryService::Submit (plus the router's
+// unknown-dataset path) runs the completion exactly once, with the code
+// that path stands for. Counts are checked after the service is
+// destroyed, so a late second call would be seen too.
+TEST_F(CompletionTest, EveryResolutionPathCompletesExactlyOnce) {
+  struct Case {
+    const char* path;
+    StatusCode want;
+    Recorder recorder;
+  };
+  Case success{"success", StatusCode::kOk, {}};
+  Case cache_hit{"cache hit", StatusCode::kOk, {}};
+  Case deadline{"dequeue deadline", StatusCode::kDeadlineExceeded, {}};
+  Case cancelled{"dequeue cancel", StatusCode::kCancelled, {}};
+  Case injected{"injected fault", StatusCode::kInternal, {}};
+  Case eval_error{"evaluation error", StatusCode::kInvalidArgument, {}};
+  Case held{"in flight at shutdown", StatusCode::kOk, {}};
+  Case shed{"shed", StatusCode::kResourceExhausted, {}};
+  Case drained{"drained by Shutdown", StatusCode::kCancelled, {}};
+  Case rejected{"rejected after Shutdown", StatusCode::kCancelled, {}};
+  Case unknown{"unknown dataset", StatusCode::kNotFound, {}};
+  {
+    QueryServiceOptions options;
+    options.num_threads = 1;
+    options.max_queue = 1;
+    StatusOr<ServiceRouter> router = MakeRouter(options);
+    ASSERT_TRUE(router.ok()) << router.status();
+    QueryService& alpha = *router->service("alpha");
+
+    router->Submit("alpha", Queries()[0], {}, 0, kNoDeadline, nullptr,
+                   success.recorder.Sink());
+    ASSERT_TRUE(success.recorder.Await());
+    EXPECT_EQ(success.recorder.fingerprint, expected_alpha_[0]);
+
+    // Served from the cache: resolved before Submit returns.
+    router->Submit("alpha", Queries()[0], {}, 0, kNoDeadline, nullptr,
+                   cache_hit.recorder.Sink());
+    EXPECT_TRUE(cache_hit.recorder.Resolved());
+    EXPECT_EQ(alpha.cache_stats().hits, 1u);
+
+    router->Submit("alpha", Queries()[1], {}, 0,
+                   std::chrono::steady_clock::now() - std::chrono::seconds(1),
+                   nullptr, deadline.recorder.Sink());
+    ASSERT_TRUE(deadline.recorder.Await());
+
+    CancelSource fired;
+    fired.Cancel();
+    router->Submit("alpha", Queries()[1], {}, 0, kNoDeadline, &fired,
+                   cancelled.recorder.Sink());
+    ASSERT_TRUE(cancelled.recorder.Await());
+
+    Arm("service.worker", StatusCode::kInternal);
+    router->Submit("alpha", Queries()[1], {}, 0, kNoDeadline, nullptr,
+                   injected.recorder.Sink());
+    ASSERT_TRUE(injected.recorder.Await());
+    fault::DisarmAllFaultPoints();
+
+    // Nothing matches: the comparison itself fails.
+    router->Submit("alpha", "zzqqxnomatch", {}, 0, kNoDeadline, nullptr,
+                   eval_error.recorder.Sink());
+    ASSERT_TRUE(eval_error.recorder.Await());
+
+    // Hold the only worker in a slow fault, fill the one queue slot,
+    // and the next submission is shed on the caller's thread.
+    Arm("service.worker", StatusCode::kOk, /*delay_ms=*/300);
+    router->Submit("alpha", Queries()[2], {}, 0, kNoDeadline, nullptr,
+                   held.recorder.Sink());
+    AwaitEmptyQueue(alpha);
+    router->Submit("alpha", Queries()[3], {}, 0, kNoDeadline, nullptr,
+                   drained.recorder.Sink());
+    router->Submit("alpha", Queries()[3], {}, 0, kNoDeadline, nullptr,
+                   shed.recorder.Sink());
+    EXPECT_TRUE(shed.recorder.Resolved());
+
+    // Shutdown resolves the queued task itself, before returning.
+    alpha.Shutdown();
+    EXPECT_TRUE(drained.recorder.Resolved());
+    router->Submit("alpha", Queries()[0], {}, 0, kNoDeadline, nullptr,
+                   rejected.recorder.Sink());
+    EXPECT_TRUE(rejected.recorder.Resolved());
+
+    router->Submit("gamma", Queries()[0], {}, 0, kNoDeadline, nullptr,
+                   unknown.recorder.Sink());
+    EXPECT_TRUE(unknown.recorder.Resolved());
+
+    // The beta service is untouched by alpha's shutdown.
+    Recorder beta;
+    router->Submit("beta", Queries()[0], {}, 0, kNoDeadline, nullptr,
+                   beta.Sink());
+    ASSERT_TRUE(beta.Await());
+    EXPECT_EQ(beta.fingerprint, expected_beta_[0]);
+    ASSERT_TRUE(held.recorder.Await());
+  }  // router destroyed: every worker joined
+
+  // The task in flight when Shutdown landed ends either way (served, or
+  // cancelled at a cooperative check); it must still end exactly once.
+  if (held.recorder.code == StatusCode::kCancelled) {
+    held.want = StatusCode::kCancelled;
+  }
+  for (Case* c : {&success, &cache_hit, &deadline, &cancelled, &injected,
+                  &eval_error, &held, &shed, &drained, &rejected, &unknown}) {
+    EXPECT_EQ(c->recorder.calls.load(std::memory_order_acquire), 1) << c->path;
+    EXPECT_EQ(c->recorder.code, c->want) << c->path;
+  }
+}
+
+// Shutdown() racing 8 submitter threads: every submission — served from
+// the cache, evaluated, drained from the queue, or rejected at either
+// drain check — completes exactly once, either kCancelled or with the
+// single-threaded reference outcome of its query.
+TEST_F(CompletionTest, ShutdownRacingSubmittersCompletesEachExactlyOnce) {
+  constexpr int kThreads = 8;
+  // Each submitter keeps going until it sees the shutdown, then submits
+  // kAfter more, so both sides of the race are always exercised.
+  constexpr int kAfter = 4;
+  constexpr size_t kCap = 20000;
+  std::vector<std::deque<Recorder>> recorders(kThreads);
+  {
+    QueryServiceOptions options;
+    options.num_threads = 2;
+    StatusOr<ServiceRouter> router = MakeRouter(options);
+    ASSERT_TRUE(router.ok()) << router.status();
+    std::atomic<int> started{0};
+    std::atomic<bool> shut{false};
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kThreads; ++t) {
+      submitters.emplace_back([&, t] {
+        started.fetch_add(1, std::memory_order_relaxed);
+        int after = 0;
+        for (size_t i = 0; after < kAfter && i < kCap; ++i) {
+          if (shut.load(std::memory_order_acquire)) ++after;
+          const size_t q = (static_cast<size_t>(t) + i) % Queries().size();
+          recorders[t].emplace_back();
+          router->Submit("alpha", Queries()[q], {}, 0, kNoDeadline, nullptr,
+                         recorders[t].back().Sink());
+        }
+      });
+    }
+    while (started.load(std::memory_order_relaxed) < kThreads) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    router->service("alpha")->Shutdown();
+    shut.store(true, std::memory_order_release);
+    for (std::thread& t : submitters) t.join();
+  }  // router destroyed: every worker joined
+  size_t cancelled = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < recorders[t].size(); ++i) {
+      const Recorder& r = recorders[t][i];
+      ASSERT_EQ(r.calls.load(std::memory_order_acquire), 1);
+      if (r.code == StatusCode::kCancelled) {
+        ++cancelled;
+        continue;
+      }
+      const size_t q = (static_cast<size_t>(t) + i) % Queries().size();
+      EXPECT_EQ(r.fingerprint, expected_alpha_[q]);
+    }
+  }
+  EXPECT_GE(cancelled, static_cast<size_t>(kThreads * kAfter));
+}
+
+// The future-returning Submit is a wrapper over the completion form:
+// both yield byte-identical outcomes (and identical errors).
+TEST_F(CompletionTest, FutureWrapperMatchesCompletionForm) {
+  QueryServiceOptions options;
+  options.num_threads = 2;
+  options.enable_cache = false;
+  StatusOr<ServiceRouter> router = MakeRouter(options);
+  ASSERT_TRUE(router.ok()) << router.status();
+  for (const char* dataset : {"alpha", "beta", "gamma"}) {
+    for (const std::string& query : Queries()) {
+      Recorder recorder;
+      router->Submit(dataset, query, {}, 0, kNoDeadline, nullptr,
+                     recorder.Sink());
+      const std::string via_future =
+          Fingerprint(router->Submit(dataset, query).get());
+      ASSERT_TRUE(recorder.Await());
+      EXPECT_EQ(recorder.fingerprint, via_future) << dataset << " " << query;
+
+      Recorder direct;
+      if (QueryService* service = router->service(dataset)) {
+        service->Submit(query, {}, 0, kNoDeadline, nullptr, direct.Sink());
+        ASSERT_TRUE(direct.Await());
+        EXPECT_EQ(direct.fingerprint,
+                  Fingerprint(service->Submit(query).get()));
+      }
+    }
+  }
 }
 
 }  // namespace

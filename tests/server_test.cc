@@ -3,11 +3,17 @@
 // vs the direct router path, the shared Status→HTTP mapping (404/429/
 // 500/504 + Retry-After), keep-alive and pipelining, slow-loris 408,
 // oversized-request 431, connection-cap 503, client-disconnect
-// cancellation reaching the engine, and graceful vs forced drain.
+// cancellation reaching the engine, graceful vs forced drain, server
+// destruction while a detached evaluation still runs, and the accept
+// backoff when the process is out of descriptors.
 
 #include "server/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <time.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <memory>
@@ -466,6 +472,104 @@ TEST_F(ServerTest, ClientDisconnectCancelsEngineWork) {
   StatusOr<ClientResponse> response = second.Get("/query?q=camera");
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->code, 200);
+}
+
+// The peer leaves mid-evaluation, then the server is stopped and
+// destroyed while the engine still runs that detached request: the
+// destructor must wait for the completion, which would otherwise touch
+// a freed server (the ASan+UBSan job runs this suite).
+TEST_F(ServerTest, DestroyedWhileDetachedEvaluationRuns) {
+  QueryServiceOptions service_options;
+  service_options.num_threads = 1;
+  service_options.enable_cache = false;
+  StartServer({}, service_options);
+
+  constexpr int kDelayMs = 1500;
+  fault::FaultSpec slow;
+  slow.code = StatusCode::kOk;  // pure latency injection
+  slow.delay_ms = kDelayMs;
+  ASSERT_TRUE(fault::ArmFaultPointByName("service.worker", slow));
+
+  HttpClient client(port());
+  const auto sent = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.SendRaw("GET /query?q=gps HTTP/1.1\r\n\r\n").ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  client.Close();
+  const auto deadline = sent + std::chrono::seconds(5);
+  while (server_->stats().cancelled_by_disconnect == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  // Run() returns without waiting for the detached request.
+  StopServer();
+  EXPECT_LT(std::chrono::steady_clock::now() - sent,
+            std::chrono::milliseconds(kDelayMs))
+      << "the evaluation must still be running when the server goes";
+  EXPECT_EQ(server_->stats().cancelled_by_disconnect, 1u);
+  server_.reset();
+
+  // The engine finished the abandoned task and still serves.
+  fault::DisarmAllFaultPoints();
+  StatusOr<engine::OutcomePtr> outcome =
+      router_->Submit("products", "camera").get();
+  EXPECT_TRUE(outcome.ok()) << outcome.status();
+}
+
+double ProcessCpuSeconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+}
+
+// Out of descriptors, accept() fails and leaves the connection queued,
+// so the listener stays readable. The loop must rest the listener, not
+// spin on it, and serve the client once descriptors are back. Only this
+// process's soft RLIMIT_NOFILE is lowered, and it is restored on exit.
+TEST_F(ServerTest, AcceptAtDescriptorLimitBacksOffInsteadOfSpinning) {
+  StartServer();
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  struct RestoreLimit {
+    rlimit limit;
+    ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &limit); }
+  } restore{saved};
+
+  // The lowest free descriptor; the limit leaves room for exactly one
+  // more — the client's socket — so the server's accept() gets EMFILE.
+  const int probe = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(probe, 0);
+  ::close(probe);
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(probe) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+  HttpClient client(port());
+  ASSERT_TRUE(client.Connect().ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server_->stats().accept_errors == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GE(server_->stats().accept_errors, 1u);
+
+  const double cpu_before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double cpu_used = ProcessCpuSeconds() - cpu_before;
+  EXPECT_LT(cpu_used, 0.1) << "the loop spins on the refused listener";
+  EXPECT_EQ(server_->stats().accepted, 0u);
+
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  StatusOr<ClientResponse> response = client.Get("/healthz");
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->code, 200);
+  EXPECT_EQ(server_->stats().accepted, 1u);
+
+  HttpClient statz(port());
+  StatusOr<ClientResponse> stats = statz.Get("/statz");
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_NE(stats->body.find("\"accept_errors\":"), std::string::npos);
 }
 
 // ---- graceful drain --------------------------------------------------

@@ -12,7 +12,8 @@ Two gate families:
       absent — pass --require-clang (the CI mode) to make absence fatal.
 
   tools/lint/run_lint.py  (raw_mutex.cc, blocking_event_loop.{h,cc},
-      default_memory_order.cc; well_locked.cc as the positive control).
+      polling_event_loop.{h,cc}, default_memory_order.cc; well_locked.cc
+      as the positive control).
       Pure stdlib — always runs.
 
 Exit status: 0 = all gates bite, 1 = a gate is dead, 2 = harness error.
@@ -89,6 +90,8 @@ def check_lint():
         ([FIXTURES / "raw_mutex.cc"], "[raw-mutex]"),
         ([FIXTURES / "blocking_event_loop.h",
           FIXTURES / "blocking_event_loop.cc"], "[blocking-call]"),
+        ([FIXTURES / "polling_event_loop.h",
+          FIXTURES / "polling_event_loop.cc"], "[blocking-call]"),
         ([FIXTURES / "default_memory_order.cc"], "[memory-order]"),
     ]
     for paths, tag in expectations:

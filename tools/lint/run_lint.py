@@ -13,8 +13,10 @@ third-party deps, no compiler needed):
 
   blocking-call   Functions marked XSACT_EVENT_LOOP_THREAD in a header
                   must not block in their .cc definitions: no sleeps, no
-                  file streams, no unbounded future.wait() — one stalled
-                  callback stalls every connection the loop serves.
+                  file streams, no future waits of any kind (wait(),
+                  wait_for(), wait_until()) — one stalled callback stalls
+                  every connection the loop serves, and a loop that polls
+                  futures is a loop that should be woken by completions.
                   Waiver (same line or up to 3 lines above):
                   // LINT:ALLOW(blocking-call): <reason>
 
@@ -65,8 +67,9 @@ RAW_MUTEX_TOKENS = [
 ]
 
 # Tokens that block (or can block unboundedly) inside an event-loop
-# function. `.wait_for(`/`.wait_until(` are deliberately absent: the loop
-# legitimately polls futures with a zero timeout.
+# function. Timed waits count too: even a zero-timeout wait_for() is the
+# polling pattern — the loop learns of finished work from completions
+# (engine::Completion) that wake it, never by sweeping futures.
 BLOCKING_TOKENS = [
     "sleep_for",
     "sleep_until",
@@ -78,6 +81,8 @@ BLOCKING_TOKENS = [
     "fopen(",
     "::system(",
     ".wait()",
+    ".wait_for(",
+    ".wait_until(",
     ".join(",
 ]
 
