@@ -8,7 +8,7 @@
 //     layout it replaced (one NodeId per posting + one size_t offset
 //     per term), on every corpus;
 //   * identity    — on every bench query, the full search pipeline
-//     (SlcaAlgorithm::kScan engine vs the merge-dispatching kIndexed
+//     (SlcaAlgorithm::kScan engine vs the merge-dispatching kSlca
 //     engine) must produce byte-identical result lists, and at kernel
 //     level ComputeSlcaMerge / ComputeElcaMerge must equal their scan
 //     references exactly;
@@ -129,7 +129,7 @@ int main() {
     search::SearchEngine scan_engine(w.doc.Clone(),
                                      search::SlcaAlgorithm::kScan);
     search::SearchEngine engine(std::move(w.doc),
-                                search::SlcaAlgorithm::kIndexed);
+                                search::SlcaAlgorithm::kSlca);
     const xml::NodeTable& table = engine.table();
     const search::InvertedIndex& index = engine.index();
     row.nodes = table.size();
@@ -145,7 +145,7 @@ int main() {
     SampleStats scan_times, merge_times;
 
     for (const std::string& query : w.queries) {
-      // ----- pipeline identity: kScan engine vs kIndexed engine -----
+      // ----- pipeline identity: kScan engine vs kSlca engine -----
       auto scan_results = scan_engine.Search(query, &scan_ws);
       auto merge_results = engine.Search(query, &merge_ws);
       if (!scan_results.ok() || !merge_results.ok()) {

@@ -40,6 +40,7 @@
 #include "data/movies.h"
 #include "data/outdoor_retailer.h"
 #include "data/product_reviews.h"
+#include "reference/dewey.h"
 #include "table/comparison_table.h"
 #include "table/explainer.h"
 #include "table/renderer.h"
@@ -99,11 +100,82 @@ struct InvertedIndex {
   }
 };
 
-/// The seed's SearchEngine::Search on top of the legacy index (SLCA
-/// computation and return-node inference shared with the new path).
-std::vector<search::SearchResult> Search(const search::SearchEngine& engine,
-                                         const InvertedIndex& index,
-                                         std::string_view query) {
+/// The seed's SLCA kernel (Indexed Lookup Eager over Dewey labels): the
+/// shortest list drives, binary searches find each anchor's pre-order
+/// neighbours in the other lists, and the candidate label shrinks to its
+/// longest common prefix with them. The seed's NodeTable stored one label
+/// per node; here `labels` (reference::DeweyLabels, built once next to
+/// the legacy index) stands in for that column.
+std::vector<xml::NodeId> ComputeSlcaIndexed(
+    const xml::NodeTable& table, const std::vector<reference::DeweyId>& labels,
+    const search::MatchLists& lists) {
+  using reference::DeweyId;
+  std::vector<xml::NodeId> result;
+  if (lists.empty()) return result;
+  for (const auto& l : lists) {
+    if (l.empty()) return result;
+  }
+  auto common_prefix_len = [](const DeweyId& a, const DeweyId& b) {
+    const size_t n = std::min(a.size(), b.size());
+    size_t i = 0;
+    while (i < n && a[i] == b[i]) ++i;
+    return i;
+  };
+
+  // Drive the algorithm with the shortest list.
+  size_t shortest = 0;
+  for (size_t i = 1; i < lists.size(); ++i) {
+    if (lists[i].size() < lists[shortest].size()) shortest = i;
+  }
+
+  std::vector<DeweyId> candidates;
+  for (xml::NodeId d : lists[shortest]) {
+    DeweyId u = labels[static_cast<size_t>(d)];
+    for (size_t i = 0; i < lists.size(); ++i) {
+      if (i == shortest) continue;
+      const auto& list = lists[i];
+      const auto it = std::lower_bound(list.begin(), list.end(), d);
+      size_t best = 0;
+      if (it != list.end()) {
+        best = std::max(best, common_prefix_len(
+                                  u, labels[static_cast<size_t>(*it)]));
+      }
+      if (it != list.begin()) {
+        best = std::max(best, common_prefix_len(
+                                  u, labels[static_cast<size_t>(*(it - 1))]));
+      }
+      if (best < u.depth()) u = DeweyId(u.begin(), best);
+      if (u.empty()) break;  // already at the root; cannot get shallower
+    }
+    candidates.push_back(std::move(u));
+  }
+
+  // Keep only the deepest candidates: sort in pre-order; an ancestor is
+  // always immediately dominated by its first descendant in the order.
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  std::vector<DeweyId> minimal;
+  for (const auto& c : candidates) {
+    while (!minimal.empty() && minimal.back().IsAncestorOrSelf(c)) {
+      minimal.pop_back();
+    }
+    minimal.push_back(c);
+  }
+  for (const auto& m : minimal) {
+    const xml::NodeId id = reference::FindByDewey(labels, m);
+    if (id == xml::kInvalidNodeId) continue;
+    if (table.node(id)->is_element()) result.push_back(id);
+  }
+  std::sort(result.begin(), result.end());
+  return result;
+}
+
+/// The seed's SearchEngine::Search on top of the legacy index and the
+/// seed's SLCA kernel (return-node inference shared with the new path).
+std::vector<search::SearchResult> Search(
+    const search::SearchEngine& engine, const InvertedIndex& index,
+    const std::vector<reference::DeweyId>& labels, std::string_view query) {
   const std::vector<search::QueryTerm> terms = search::ParseQuery(query);
   if (terms.empty()) return {};
   const xml::NodeTable& table = engine.table();
@@ -123,7 +195,8 @@ std::vector<search::SearchResult> Search(const search::SearchEngine& engine,
     }
     if (lists.back().empty()) return {};
   }
-  const std::vector<xml::NodeId> slcas = ComputeSlcaIndexed(table, lists);
+  const std::vector<xml::NodeId> slcas =
+      ComputeSlcaIndexed(table, labels, lists);
 
   std::vector<search::SearchResult> results;
   std::unordered_set<const xml::Node*> seen;
@@ -518,15 +591,17 @@ Served ServeNew(const engine::Xsact& xsact, const Workload& w,
 }
 
 /// Legacy path: same pipeline wired from the seed's components (search on
-/// the string-keyed index, tuple-map extraction, scalar rendering); SLCA,
-/// instance construction and DFS selection are shared.
+/// the string-keyed index with the seed's Dewey-label SLCA kernel,
+/// tuple-map extraction, scalar rendering); instance construction and DFS
+/// selection are shared.
 Served ServeLegacy(const engine::Xsact& xsact,
                    const legacy::InvertedIndex& index,
+                   const std::vector<reference::DeweyId>& labels,
                    const legacy::Schema& scalar_schema, const Workload& w,
                    bool with_render) {
   const search::SearchEngine& engine = xsact.engine();
   const std::vector<search::SearchResult> results =
-      legacy::Search(engine, index, w.query);
+      legacy::Search(engine, index, labels, w.query);
 
   // Lift + dedup (CompareResults' pre-processing, shared logic).
   std::vector<const xml::Node*> roots;
@@ -748,12 +823,16 @@ int main() {
         }).min() * 1e3;
     const legacy::InvertedIndex legacy_index =
         legacy::InvertedIndex::Build(xsact.engine().table());
+    // The seed's per-node Dewey column, for the seed's SLCA kernel.
+    const std::vector<reference::DeweyId> legacy_labels =
+        reference::DeweyLabels(xsact.engine().table());
     const legacy::Schema legacy_schema(xsact.engine().schema());
 
     // Equivalence gate: full serve (table + explanations + weights).
     const Served new_serve = ServeNew(xsact, w, /*with_render=*/true);
     const Served legacy_serve =
-        ServeLegacy(xsact, legacy_index, legacy_schema, w, /*with_render=*/true);
+        ServeLegacy(xsact, legacy_index, legacy_labels, legacy_schema, w,
+                    /*with_render=*/true);
     const std::string what = w.corpus + "/" + w.scale;
     if (!SameServe(new_serve, legacy_serve, what.c_str())) gate_ok = false;
 
@@ -770,7 +849,7 @@ int main() {
     row.new_index_ms = new_index_ms;
     row.legacy_ms =
         bench::TimeRepeated(repeats, [&] {
-          ServeLegacy(xsact, legacy_index, legacy_schema, w,
+          ServeLegacy(xsact, legacy_index, legacy_labels, legacy_schema, w,
                       /*with_render=*/false);
         }).min() * 1e3;
     row.new_ms = bench::TimeRepeated(repeats, [&] {

@@ -122,6 +122,16 @@ QueryListsStorage QueryLists() {
   return DecodeLists(Index(), {"gps", "compact"});
 }
 
+/// Compressed posting sources for the merge kernel (no decode).
+search::MergeLists MergeSources(const search::InvertedIndex& index,
+                                std::initializer_list<const char*> terms) {
+  search::MergeLists sources;
+  for (const char* t : terms) {
+    sources.push_back(search::PostingSource(index.Postings(t)));
+  }
+  return sources;
+}
+
 void BM_SlcaScan(benchmark::State& state) {
   const auto query = QueryLists();
   const search::MatchLists& lists = query.lists;
@@ -132,15 +142,16 @@ void BM_SlcaScan(benchmark::State& state) {
 }
 BENCHMARK(BM_SlcaScan);
 
-void BM_SlcaIndexed(benchmark::State& state) {
-  const auto query = QueryLists();
-  const search::MatchLists& lists = query.lists;
+void BM_SlcaMerge(benchmark::State& state) {
+  const search::MergeLists sources =
+      MergeSources(Index(), {"gps", "compact"});
+  search::MergeScratch scratch;
   for (auto _ : state) {
-    auto slca = search::ComputeSlcaIndexed(Table(), lists);
+    auto slca = search::ComputeSlcaMerge(Table(), sources, &scratch);
     benchmark::DoNotOptimize(slca);
   }
 }
-BENCHMARK(BM_SlcaIndexed);
+BENCHMARK(BM_SlcaMerge);
 
 void BM_Elca(benchmark::State& state) {
   const auto query = QueryLists();
@@ -152,9 +163,9 @@ void BM_Elca(benchmark::State& state) {
 }
 BENCHMARK(BM_Elca);
 
-/// Corpus-size scaling of the two SLCA algorithms: the scan pass is
-/// linear in document size while the indexed lookup only touches the
-/// posting lists — the gap widens with corpus growth.
+/// Corpus-size scaling of the two SLCA kernels: the scan pass is linear
+/// in document size while the merge only touches the posting lists —
+/// the gap widens with corpus growth.
 struct SizedCorpus {
   xml::Document doc;
   xml::NodeTable table;
@@ -191,17 +202,18 @@ void BM_SlcaScanScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_SlcaScanScaling)->Arg(10)->Arg(40)->Arg(160);
 
-void BM_SlcaIndexedScaling(benchmark::State& state) {
+void BM_SlcaMergeScaling(benchmark::State& state) {
   const SizedCorpus& corpus = CorpusOfSize(static_cast<int>(state.range(0)));
-  const auto query = DecodeLists(corpus.index, {"gps", "compact"});
-  const search::MatchLists& lists = query.lists;
+  const search::MergeLists sources =
+      MergeSources(corpus.index, {"gps", "compact"});
+  search::MergeScratch scratch;
   for (auto _ : state) {
-    auto slca = search::ComputeSlcaIndexed(corpus.table, lists);
+    auto slca = search::ComputeSlcaMerge(corpus.table, sources, &scratch);
     benchmark::DoNotOptimize(slca);
   }
   state.counters["nodes"] = static_cast<double>(corpus.table.size());
 }
-BENCHMARK(BM_SlcaIndexedScaling)->Arg(10)->Arg(40)->Arg(160);
+BENCHMARK(BM_SlcaMergeScaling)->Arg(10)->Arg(40)->Arg(160);
 
 void BM_FeatureExtraction(benchmark::State& state) {
   const entity::EntitySchema schema = entity::InferSchema(Corpus());

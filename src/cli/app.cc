@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/shutdown_signal.h"
@@ -608,6 +609,20 @@ int RunApp(const CliOptions& options, std::ostream& out, std::ostream& err) {
         << " postings, " << stats.compressed_bytes
         << " bytes compressed (raw CSR " << stats.raw_csr_bytes << " bytes, "
         << FormatDouble(stats.ratio(), 2) << "x)\n";
+    const engine::MemoryStats memory = xsact->snapshot()->memory_stats();
+    out << "memory: " << memory.total_bytes() << " bytes ("
+        << FormatDouble(memory.PerNode(memory.total_bytes()), 1)
+        << " B/node)\n";
+    const std::pair<const char*, size_t> structures[] = {
+        {"node records", memory.node_records_bytes},
+        {"node table", memory.node_table_bytes},
+        {"source text", memory.source_text_bytes},
+        {"postings", memory.postings_bytes},
+        {"category index", memory.category_index_bytes}};
+    for (const auto& [name, bytes] : structures) {
+      out << "  " << name << ": " << bytes << " bytes ("
+          << FormatDouble(memory.PerNode(bytes), 1) << " B/node)\n";
+    }
     if (options.query.empty()) return 0;
   }
 

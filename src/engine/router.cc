@@ -121,6 +121,7 @@ RouterStats ServiceRouter::stats() const {
     d.cache = service->cache_stats();
     d.admission = service->admission_stats();
     d.health = service->health();
+    d.memory = service->snapshot()->memory_stats();
     stats.datasets.push_back(std::move(d));
   }
   return stats;

@@ -55,6 +55,7 @@ struct DatasetStats {
   CacheStats cache;
   AdmissionStats admission;
   ServiceHealth health;  ///< reload health (last-known-good retention)
+  MemoryStats memory;    ///< the current snapshot's per-structure bytes
 };
 
 /// Per-dataset stats plus totals, as returned by ServiceRouter::stats().

@@ -43,6 +43,29 @@ struct IndexStats {
   }
 };
 
+/// Memory accounting for every per-corpus structure a snapshot holds,
+/// in bytes in use (vector sizes, not capacities). Surfaced beside
+/// IndexStats by the CLI's --stats flag and per dataset in /statz.
+struct MemoryStats {
+  size_t nodes = 0;
+  size_t node_records_bytes = 0;  ///< xml::Node records (the node arena)
+  size_t node_table_bytes = 0;    ///< NodeTable columns
+  size_t source_text_bytes = 0;   ///< retained corpus text + decoded arena
+  size_t postings_bytes = 0;      ///< compressed postings (IndexStats)
+  size_t category_index_bytes = 0;  ///< DocumentCategoryIndex columns
+
+  size_t total_bytes() const {
+    return node_records_bytes + node_table_bytes + source_text_bytes +
+           postings_bytes + category_index_bytes;
+  }
+  /// `bytes` spread over the corpus nodes (0 for an empty corpus).
+  double PerNode(size_t bytes) const {
+    return nodes == 0 ? 0.0
+                      : static_cast<double>(bytes) /
+                            static_cast<double>(nodes);
+  }
+};
+
 /// How snapshots are shared: the snapshot is owned jointly by every
 /// component serving queries over it (Xsact facade, QueryService,
 /// in-flight sessions) and dies with the last of them.
@@ -54,28 +77,28 @@ class CorpusSnapshot {
   /// Builds every derived structure for `doc`. O(document size).
   explicit CorpusSnapshot(
       xml::Document doc,
-      search::SlcaAlgorithm algorithm = search::SlcaAlgorithm::kIndexed);
+      search::SlcaAlgorithm algorithm = search::SlcaAlgorithm::kSlca);
 
   /// Builds from a fused-parse corpus (document + node table from one
   /// zero-copy pass; see xml::ParseCorpus).
   explicit CorpusSnapshot(
       xml::ParsedCorpus corpus,
-      search::SlcaAlgorithm algorithm = search::SlcaAlgorithm::kIndexed);
+      search::SlcaAlgorithm algorithm = search::SlcaAlgorithm::kSlca);
 
   /// Builds a shared snapshot from an already-parsed document.
   static SnapshotPtr Build(
       xml::Document doc,
-      search::SlcaAlgorithm algorithm = search::SlcaAlgorithm::kIndexed);
+      search::SlcaAlgorithm algorithm = search::SlcaAlgorithm::kSlca);
 
   /// Parses `xml_text` and builds a shared snapshot.
   static StatusOr<SnapshotPtr> FromXml(
       std::string_view xml_text,
-      search::SlcaAlgorithm algorithm = search::SlcaAlgorithm::kIndexed);
+      search::SlcaAlgorithm algorithm = search::SlcaAlgorithm::kSlca);
 
   /// Loads and parses an XML corpus file (single pre-sized read).
   static StatusOr<SnapshotPtr> FromFile(
       const std::string& path,
-      search::SlcaAlgorithm algorithm = search::SlcaAlgorithm::kIndexed);
+      search::SlcaAlgorithm algorithm = search::SlcaAlgorithm::kSlca);
 
   /// Structural validation of the derived index structures (per-block
   /// postings checksums, CSR consistency, id bounds). FromXml/FromFile
@@ -101,6 +124,18 @@ class CorpusSnapshot {
     const search::InvertedIndex& idx = engine_.index();
     return IndexStats{idx.TermCount(), idx.PostingCount(),
                       idx.CompressedSizeBytes(), idx.RawCsrSizeBytes()};
+  }
+
+  /// Per-structure memory accounting (see MemoryStats).
+  MemoryStats memory_stats() const {
+    MemoryStats m;
+    m.nodes = table().size();
+    m.node_records_bytes = document().NodeRecordBytes();
+    m.node_table_bytes = table().ColumnBytes();
+    m.source_text_bytes = document().SourceBytes();
+    m.postings_bytes = index().CompressedSizeBytes();
+    m.category_index_bytes = category_index().ColumnBytes();
+    return m;
   }
 
  private:

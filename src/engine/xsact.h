@@ -40,18 +40,18 @@ class Xsact {
   /// Parses `xml_text` and builds the search engine (index + schema).
   static StatusOr<Xsact> FromXml(
       std::string_view xml_text,
-      search::SlcaAlgorithm algorithm = search::SlcaAlgorithm::kIndexed);
+      search::SlcaAlgorithm algorithm = search::SlcaAlgorithm::kSlca);
 
   /// Loads and parses an XML corpus file (single pre-sized read).
   static StatusOr<Xsact> FromFile(
       const std::string& path,
-      search::SlcaAlgorithm algorithm = search::SlcaAlgorithm::kIndexed);
+      search::SlcaAlgorithm algorithm = search::SlcaAlgorithm::kSlca);
 
   /// Builds from an already-constructed document. `algorithm` selects the
-  /// answer semantics (SLCA via scan or indexed lookup, or ELCA).
+  /// answer semantics (SLCA via scan or merge dispatch, or ELCA).
   explicit Xsact(
       xml::Document doc,
-      search::SlcaAlgorithm algorithm = search::SlcaAlgorithm::kIndexed);
+      search::SlcaAlgorithm algorithm = search::SlcaAlgorithm::kSlca);
 
   /// Wraps an existing snapshot (shared with other serving components).
   explicit Xsact(SnapshotPtr snapshot);

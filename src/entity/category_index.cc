@@ -10,15 +10,13 @@ DocumentCategoryIndex::DocumentCategoryIndex(const xml::NodeTable& table,
   categories_.resize(n);
   owners_.resize(n);
   leaf_.resize(n);
-  subtree_end_.assign(n, 0);
   tag_ids_.assign(n, -1);
   text_ids_.assign(n, -1);
   obs_attr_ids_.assign(n, -1);
   obs_value_ids_.assign(n, -1);
 
   // Pre-order ids: parents precede children, so owners resolve in one
-  // forward pass; subtree extents resolve in one backward pass (a node's
-  // subtree ends where its last descendant's does).
+  // forward pass.
   std::string text_scratch;
   std::string attr_scratch;
   std::string key_scratch;
@@ -64,15 +62,6 @@ DocumentCategoryIndex::DocumentCategoryIndex(const xml::NodeTable& table,
       owners_[i] = parent != xml::kInvalidNodeId
                        ? owners_[static_cast<size_t>(parent)]
                        : id;
-    }
-  }
-  for (size_t i = n; i-- > 0;) {
-    const xml::NodeId id = static_cast<xml::NodeId>(i);
-    if (subtree_end_[i] == 0) subtree_end_[i] = id + 1;  // no descendants yet
-    const xml::NodeId parent = table.parent(id);
-    if (parent != xml::kInvalidNodeId) {
-      auto& parent_end = subtree_end_[static_cast<size_t>(parent)];
-      if (subtree_end_[i] > parent_end) parent_end = subtree_end_[i];
     }
   }
 }

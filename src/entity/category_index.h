@@ -8,14 +8,15 @@
 //     ("global owner"; pre-order comparison rebinds it to any result
 //     subtree in O(1), see OwnerWithin),
 //   * whether the node is a leaf element,
-//   * the end of the node's pre-order subtree range,
 //   * the element tag interned to a document-level tag id, and
 //   * for leaf elements, the trimmed inner text interned to a
 //     document-level text id (computed once, not per query).
 //
-// With this, feature extraction over a result subtree is a single linear
-// sweep of a contiguous id range reading flat arrays — the XSACT serve
-// path's analogue of a native-XML system's term/path identifier encoding.
+// Subtree extents are not repeated here: NodeTable::subtree_end already
+// holds them. With both, feature extraction over a result subtree is a
+// single linear sweep of a contiguous id range reading flat arrays — the
+// XSACT serve path's analogue of a native-XML system's term/path
+// identifier encoding.
 
 #ifndef XSACT_ENTITY_CATEGORY_INDEX_H_
 #define XSACT_ENTITY_CATEGORY_INDEX_H_
@@ -75,12 +76,6 @@ class DocumentCategoryIndex {
     return leaf_[static_cast<size_t>(id)] != 0;
   }
 
-  /// One past the last pre-order id of the subtree rooted at `id`
-  /// (subtrees are contiguous id ranges).
-  xml::NodeId subtree_end(xml::NodeId id) const {
-    return subtree_end_[static_cast<size_t>(id)];
-  }
-
   /// Document-level tag id of an element (-1 for text nodes).
   int32_t tag_id(xml::NodeId id) const {
     return tag_ids_[static_cast<size_t>(id)];
@@ -96,6 +91,18 @@ class DocumentCategoryIndex {
   size_t num_texts() const { return texts_.size(); }
   const std::string& text(int32_t text_id) const {
     return texts_.Lookup(text_id);
+  }
+
+  /// Bytes held by the per-node columns (category, owner, leaf flag, tag,
+  /// text and observation ids; 22 per node). The interned strings behind
+  /// the ids are per distinct value and not counted.
+  size_t ColumnBytes() const {
+    return categories_.size() * sizeof(NodeCategory) +
+           owners_.size() * sizeof(xml::NodeId) +
+           leaf_.size() * sizeof(uint8_t) +
+           (tag_ids_.size() + text_ids_.size() + obs_attr_ids_.size() +
+            obs_value_ids_.size()) *
+               sizeof(int32_t);
   }
 
   /// The options the precomputed observation encoding was built with.
@@ -127,7 +134,6 @@ class DocumentCategoryIndex {
   std::vector<NodeCategory> categories_;
   std::vector<xml::NodeId> owners_;
   std::vector<uint8_t> leaf_;
-  std::vector<xml::NodeId> subtree_end_;
   StringInterner tags_;
   StringInterner texts_;
   std::vector<int32_t> tag_ids_;

@@ -318,7 +318,7 @@ ResultFeatures FeatureExtractor::Extract(
   if (options_.fold_value_case == lv.fold_value_case &&
       options_.max_value_length == lv.max_value_length &&
       options_.skip_empty_values == lv.skip_empty_values) {
-    const xml::NodeId end = index.subtree_end(root_id);
+    const xml::NodeId end = table.subtree_end(root_id);
     xml::NodeId memo_owner = xml::kInvalidNodeId;
     int32_t memo_entity = -1;
     for (xml::NodeId id = root_id; id < end; ++id) {
@@ -385,7 +385,7 @@ ResultFeatures FeatureExtractor::Extract(
   // schema probes, no ancestor climbs, and string work only on each
   // distinct (tag, text) first occurrence. Consecutive leaves usually
   // share their owning entity, so the owner's local id is memoized.
-  const xml::NodeId end = index.subtree_end(root_id);
+  const xml::NodeId end = table.subtree_end(root_id);
   xml::NodeId memo_owner = xml::kInvalidNodeId;
   int32_t memo_entity = -1;
   for (xml::NodeId id = root_id; id < end; ++id) {

@@ -3,7 +3,7 @@
 // Every text node's tokens are posted against the ELEMENT that contains
 // the text (attribute values against their owning element). Postings are
 // dense pre-order NodeIds (document order), so posting lists double as
-// Dewey-ordered match lists for the SLCA algorithms.
+// document-ordered match lists for the SLCA/ELCA kernels.
 //
 // Terms are interned to dense ids. Posting lists are stored
 // block-compressed (see postings_codec.h): one shared payload byte

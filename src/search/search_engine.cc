@@ -195,7 +195,7 @@ StatusOr<std::vector<SearchResult>> SearchEngine::Search(
       XSACT_RETURN_IF_ERROR(DecodeSources(ws));
       slcas = ComputeSlcaByScan(table, ws->lists, cancel);
       break;
-    case SlcaAlgorithm::kIndexed:
+    case SlcaAlgorithm::kSlca:
       if (prefer_merge) {
         slcas = ComputeSlcaMerge(table, sources, &ws->merge, cancel);
       } else {

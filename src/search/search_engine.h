@@ -42,13 +42,14 @@ struct SearchResult {
 /// Which answer semantics / algorithm family the engine uses.
 ///  * kScan    — SLCA semantics, always the linear-scan kernel (the
 ///               reference configuration for identity gates);
-///  * kIndexed — SLCA semantics via the skip-driven merge over the
-///               compressed postings when the query is selective,
-///               falling back to the scan kernel when the posting
-///               volume approaches corpus size (identical answers);
+///  * kSlca    — SLCA semantics with selectivity dispatch: the
+///               skip-driven merge over the compressed postings when
+///               the query is selective, the scan kernel when the
+///               posting volume approaches corpus size (identical
+///               answers either way; the default);
 ///  * kElca    — Exclusive LCA semantics (superset of SLCA; see
 ///               slca.h), with the same merge-vs-scan dispatch.
-enum class SlcaAlgorithm { kScan, kIndexed, kElca };
+enum class SlcaAlgorithm { kScan, kSlca, kElca };
 
 /// One conjunct of a parsed query: a term, optionally restricted to
 /// elements with a given tag ("director:moreau" -> {"moreau","director"}).
@@ -77,7 +78,7 @@ void ParseQueryInto(std::string_view query, std::vector<QueryTerm>* out);
 /// concurrent query evaluations.
 struct CorpusIndex {
   explicit CorpusIndex(xml::Document document,
-                       SlcaAlgorithm slca = SlcaAlgorithm::kIndexed);
+                       SlcaAlgorithm slca = SlcaAlgorithm::kSlca);
 
   /// Adopts a table built elsewhere (the parser's fused build) instead of
   /// re-walking the document.
@@ -136,12 +137,12 @@ class SearchEngine {
  public:
   /// Builds all derived structures for `doc`. O(document size).
   explicit SearchEngine(xml::Document doc,
-                        SlcaAlgorithm algorithm = SlcaAlgorithm::kIndexed);
+                        SlcaAlgorithm algorithm = SlcaAlgorithm::kSlca);
 
   /// Adopts a fused-parse node table (see xml::ParseCorpus) — skips the
   /// table-building walk entirely.
   SearchEngine(xml::Document doc, xml::NodeTable table,
-               SlcaAlgorithm algorithm = SlcaAlgorithm::kIndexed);
+               SlcaAlgorithm algorithm = SlcaAlgorithm::kSlca);
 
   /// Evaluates a conjunctive keyword query. Returns results in document
   /// order; an empty vector when some keyword does not occur at all.

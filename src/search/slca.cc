@@ -1,10 +1,6 @@
 #include "search/slca.h"
 
-#include <algorithm>
 #include <cstdint>
-
-#include "common/macros.h"
-#include "xml/dewey.h"
 
 namespace xsact::search {
 
@@ -176,86 +172,6 @@ std::vector<xml::NodeId> ComputeElcaByScan(const xml::NodeTable& table,
     }
     if (elca) result.push_back(static_cast<xml::NodeId>(v));
   }
-  return result;
-}
-
-namespace {
-
-/// Length of the common Dewey prefix of two labels.
-size_t CommonPrefixLen(const xml::DeweyId& a, const xml::DeweyId& b) {
-  const size_t n = std::min(a.size(), b.size());
-  size_t i = 0;
-  while (i < n && a[i] == b[i]) ++i;
-  return i;
-}
-
-/// Truncates `a` to its first `len` components.
-xml::DeweyId Prefix(const xml::DeweyId& a, size_t len) {
-  return xml::DeweyId(a.begin(), len);
-}
-
-}  // namespace
-
-std::vector<xml::NodeId> ComputeSlcaIndexed(const xml::NodeTable& table,
-                                            const MatchLists& lists,
-                                            const Cancellation& cancel) {
-  std::vector<xml::NodeId> result;
-  if (AnyListEmpty(lists)) return result;
-  const bool expirable = cancel.can_expire();
-
-  // Drive the algorithm with the shortest list.
-  size_t shortest = 0;
-  for (size_t i = 1; i < lists.size(); ++i) {
-    if (lists[i].size() < lists[shortest].size()) shortest = i;
-  }
-
-  std::vector<xml::DeweyId> candidates;
-  uint32_t tick = 0;
-  for (xml::NodeId d : lists[shortest]) {
-    if (expirable && (++tick & 63u) == 0 && cancel.Expired()) break;
-    xml::DeweyId u = table.dewey(d);
-    for (size_t i = 0; i < lists.size(); ++i) {
-      if (i == shortest) continue;
-      const auto& list = lists[i];
-      // Find pred (greatest id <= anchor) and succ (least id >= anchor) of
-      // the current candidate in pre-order. NodeId order equals pre-order,
-      // and the candidate u is always an ancestor-or-self of the original
-      // match d, so d's id is a valid in-subtree anchor for the search.
-      const auto it = std::lower_bound(list.begin(), list.end(), d);
-      size_t best = 0;
-      if (it != list.end()) {
-        best = std::max(best, CommonPrefixLen(u, table.dewey(*it)));
-      }
-      if (it != list.begin()) {
-        best = std::max(best, CommonPrefixLen(u, table.dewey(*(it - 1))));
-      }
-      if (best < u.depth()) u = Prefix(u, best);
-      if (u.empty()) break;  // already at the root; cannot get shallower
-    }
-    candidates.push_back(std::move(u));
-  }
-
-  // Keep only the deepest candidates: sort in pre-order; an ancestor is
-  // always immediately dominated by its first descendant in the order.
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  std::vector<xml::DeweyId> minimal;
-  for (const auto& c : candidates) {
-    while (!minimal.empty() && minimal.back().IsAncestorOrSelf(c)) {
-      minimal.pop_back();
-    }
-    minimal.push_back(c);
-  }
-  for (const auto& m : minimal) {
-    const xml::NodeId id = table.FindByDewey(m);
-    // Every minimal candidate is a truncated Dewey label of a real node,
-    // so the lookup should always resolve; if a corrupted table breaks
-    // that, drop the candidate rather than abort the process.
-    if (id == xml::kInvalidNodeId) continue;
-    if (table.node(id)->is_element()) result.push_back(id);
-  }
-  std::sort(result.begin(), result.end());
   return result;
 }
 

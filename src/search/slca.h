@@ -6,22 +6,20 @@
 // engine (an XSeek [3,4] reimplementation) uses SLCA to locate matches
 // before inferring the entity ("return node") to present as the result.
 //
-// Four implementations are provided:
+// Three kernel families are provided:
 //  * ComputeSlcaByScan    — one linear pass propagating keyword bitmasks
 //                           up the tree; O(nodes * keywords/64), simple
 //                           and obviously correct (used as test oracle).
 //                           Any keyword count (multi-word masks past 64).
-//  * ComputeSlcaIndexed   — the Indexed Lookup Eager style algorithm of
-//                           Xu & Papakonstantinou over Dewey labels,
-//                           driven by the shortest posting list with
-//                           binary searches into the others.
-//  * ComputeSlcaMerge     — the same eager algorithm run directly on the
-//                           block-compressed postings: per-order NodeId
-//                           arithmetic replaces Dewey prefixes (ancestor
-//                           checks via NodeTable::parent/subtree_end),
-//                           and skip-entry galloping replaces binary
-//                           search, decoding at most one block per probe.
-//                           Sublinear for selective keywords.
+//  * ComputeSlcaMerge     — the Indexed Lookup Eager algorithm of Xu &
+//                           Papakonstantinou run directly on the
+//                           block-compressed postings: pre-order NodeId
+//                           arithmetic (ancestor checks via
+//                           NodeTable::parent/subtree_end) stands in for
+//                           path-label prefixes, and skip-entry galloping
+//                           replaces binary search, decoding at most one
+//                           block per probe. Sublinear for selective
+//                           keywords.
 //  * ComputeElcaByScan /  — Exclusive LCA semantics (superset of SLCA),
 //    ComputeElcaMerge       as a full scan and as a k-way heap merge of
 //                           the compressed postings with a stack of open
@@ -117,12 +115,6 @@ struct MergeScratch {
 std::vector<xml::NodeId> ComputeSlcaByScan(const xml::NodeTable& table,
                                            const MatchLists& lists,
                                            const Cancellation& cancel = {});
-
-/// Indexed-lookup SLCA (binary searches into Dewey-ordered lists).
-/// Same contract and results as ComputeSlcaByScan.
-std::vector<xml::NodeId> ComputeSlcaIndexed(const xml::NodeTable& table,
-                                            const MatchLists& lists,
-                                            const Cancellation& cancel = {});
 
 /// Skip-driven SLCA merge over compressed postings. Same contract and
 /// results as ComputeSlcaByScan; cost scales with the shortest list.

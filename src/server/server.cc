@@ -560,15 +560,13 @@ HttpServer::Clock::time_point HttpServer::TimeoutAt(
 
 bool HttpServer::CheckTimeouts(Connection* conn, Clock::time_point now) {
   if (now <= TimeoutAt(*conn)) return true;
-  if (conn->outbuf.size() > conn->out_off) {
-    // A response is pending and the peer isn't reading it.
-    timeouts_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  // Idle keep-alive connection: close silently.
+  // Every expiry counts: write, idle and read timeouts alike.
+  timeouts_.fetch_add(1, std::memory_order_relaxed);
+  // A response is pending and the peer isn't reading it.
+  if (conn->outbuf.size() > conn->out_off) return false;
+  // Idle keep-alive connection: close without a response.
   if (!conn->parser.started()) return false;
   // Mid-request silence: slow-loris. Answer 408 and close.
-  timeouts_.fetch_add(1, std::memory_order_relaxed);
   responses_error_.fetch_add(1, std::memory_order_relaxed);
   HttpResponse resp;
   resp.code = 408;
@@ -859,7 +857,20 @@ std::string RouterStatsJson(const engine::RouterStats& stats) {
     out += std::to_string(d.health.reload_attempts);
     out += ",\"last_error\":\"";
     out += JsonEscape(d.health.last_error);
-    out += "\"}}";
+    out += "\"},\"memory\":{";
+    first = true;
+    AppendCounter(&out, "nodes", d.memory.nodes, &first);
+    AppendCounter(&out, "node_records_bytes", d.memory.node_records_bytes,
+                  &first);
+    AppendCounter(&out, "node_table_bytes", d.memory.node_table_bytes,
+                  &first);
+    AppendCounter(&out, "source_text_bytes", d.memory.source_text_bytes,
+                  &first);
+    AppendCounter(&out, "postings_bytes", d.memory.postings_bytes, &first);
+    AppendCounter(&out, "category_index_bytes",
+                  d.memory.category_index_bytes, &first);
+    AppendCounter(&out, "total_bytes", d.memory.total_bytes(), &first);
+    out += "}}";
   }
   out += "],\"totals\":{";
   bool first = true;

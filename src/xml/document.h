@@ -61,6 +61,19 @@ class Document {
     return source_ != nullptr ? *source_ : kEmpty;
   }
 
+  /// Bytes of the xml::Node records (arena documents: the flat arena;
+  /// programmatic documents: one record per node). Per-node heap spills
+  /// (attribute lists, owned strings) are not counted.
+  size_t NodeRecordBytes() const { return NodeCount() * sizeof(Node); }
+
+  /// Bytes of retained source text plus the entity-decoded side arena
+  /// (0 for programmatic documents, whose nodes own their strings).
+  size_t SourceBytes() const {
+    size_t bytes = source_ != nullptr ? source_->size() : 0;
+    for (const std::string& s : decoded_) bytes += s.size();
+    return bytes;
+  }
+
   /// Total number of nodes (0 when empty). O(1) for arena documents.
   size_t NodeCount() const {
     if (is_arena()) return arena_.size();

@@ -65,8 +65,8 @@ bool IsAllWhitespace(std::string_view s) {
 /// Single-pass zero-copy parser. Builds a flat pre-order record stream
 /// (views into the retained source), then materializes the Document's
 /// node arena — and, when requested, fills the NodeTable as it goes:
-/// ids and parents when a node opens, Dewey labels from the running
-/// child-ordinal path, subtree extents when its tag closes.
+/// ids and parents when a node opens, subtree extents when its tag
+/// closes.
 class ArenaParser {
  public:
   ArenaParser(std::string text, ParseOptions options, NodeTable* table)
@@ -79,7 +79,6 @@ class ArenaParser {
     recs_.reserve(estimated_nodes);
     if (table_ != nullptr) {
       table_->parents_.reserve(estimated_nodes);
-      table_->deweys_.reserve(estimated_nodes);
       table_->subtree_end_.reserve(estimated_nodes);
     }
   }
@@ -212,7 +211,7 @@ class ArenaParser {
   }
 
   /// Appends a node to the pre-order stream under the innermost open
-  /// element and — table mode — records its id, parent and Dewey label.
+  /// element and — table mode — records its id and parent.
   int32_t OpenNode(Node::Kind kind, std::string_view data) {
     const int32_t id = static_cast<int32_t>(recs_.size());
     const int32_t parent = open_.empty() ? -1 : open_.back();
@@ -229,26 +228,23 @@ class ArenaParser {
         p.first_child = id;
       }
       p.last_child = id;
-      path_.push_back(static_cast<int32_t>(p.child_count));
       ++p.child_count;
     }
     recs_.push_back(rec);
     if (table_ != nullptr) {
       table_->parents_.push_back(parent);
-      table_->deweys_.emplace_back(path_.data(), path_.size());
       table_->subtree_end_.push_back(0);
     }
     return id;
   }
 
   /// Closes a node: its subtree extent is everything appended since it
-  /// opened, and its Dewey component leaves the running path.
+  /// opened.
   void CloseNode(int32_t id) {
     if (table_ != nullptr) {
       table_->subtree_end_[static_cast<size_t>(id)] =
           static_cast<NodeId>(recs_.size());
     }
-    if (recs_[static_cast<size_t>(id)].parent >= 0) path_.pop_back();
   }
 
   Status ParseStartTag() {
@@ -436,7 +432,6 @@ class ArenaParser {
   std::vector<Rec> recs_;
   std::vector<std::pair<std::string_view, std::string_view>> attrs_;
   std::vector<int32_t> open_;   // ids of the open-element chain
-  std::vector<int32_t> path_;   // running Dewey components
   std::vector<std::string_view> segments_;
   bool segment_entity_ = false;
   std::string scratch_;

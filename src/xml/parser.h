@@ -15,7 +15,7 @@
 // allocated contiguously in pre-order from a flat arena — no
 // pointer-per-node DOM, no per-node string copies. Because arena order is
 // pre-order, ParseCorpus fuses the NodeTable build into the parse: ids,
-// parents, Dewey labels and subtree extents are assigned as tags close.
+// parents and subtree extents are assigned as tags close.
 
 #ifndef XSACT_XML_PARSER_H_
 #define XSACT_XML_PARSER_H_

@@ -9,31 +9,26 @@ NodeTable NodeTable::Build(const Document& doc) {
   if (doc.empty()) return table;
   const size_t n = doc.NodeCount();
   table.nodes_.reserve(n);
-  table.deweys_.reserve(n);
   table.parents_.reserve(n);
   table.subtree_end_.assign(n, 0);
 
-  // Iterative pre-order walk carrying the Dewey path; works for both
-  // arena and programmatic documents. Subtree extents are assigned when a
-  // node's subtree is exhausted (the analogue of "as tags close").
+  // Iterative pre-order walk; works for both arena and programmatic
+  // documents. Subtree extents are assigned when a node's subtree is
+  // exhausted (the analogue of "as tags close").
   struct Frame {
     const Node* node;
     NodeId id;
   };
   std::vector<Frame> stack;
-  DeweyId dewey;
   const Node* cur = doc.root();
   NodeId parent = kInvalidNodeId;
-  int32_t ordinal = 0;
   for (;;) {
     const NodeId id = static_cast<NodeId>(table.nodes_.size());
     cur->table_id_ = id;
     table.nodes_.push_back(cur);
-    table.deweys_.push_back(dewey);
     table.parents_.push_back(parent);
     if (cur->first_child() != nullptr) {
       stack.push_back(Frame{cur, id});
-      dewey.Push(0);
       parent = id;
       cur = cur->first_child();
       continue;
@@ -44,7 +39,6 @@ NodeTable NodeTable::Build(const Document& doc) {
     while (next == nullptr && !stack.empty()) {
       const Frame frame = stack.back();
       stack.pop_back();
-      dewey.Pop();
       table.subtree_end_[static_cast<size_t>(frame.id)] =
           static_cast<NodeId>(table.nodes_.size());
       next = frame.node->next_sibling();
@@ -52,32 +46,10 @@ NodeTable NodeTable::Build(const Document& doc) {
       parent = stack.empty() ? kInvalidNodeId : stack.back().id;
     }
     if (next == nullptr) break;  // root closed
-    // Step to the sibling: bump the trailing Dewey component.
-    ordinal = dewey.back() + 1;
-    dewey.Pop();
-    dewey.Push(ordinal);
     cur = next;
     parent = stack.empty() ? kInvalidNodeId : stack.back().id;
   }
   return table;
-}
-
-NodeId NodeTable::FindByDewey(const DeweyId& dewey) const {
-  // Dewey labels are in pre-order, and so is the table: binary search.
-  size_t lo = 0;
-  size_t hi = deweys_.size();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (deweys_[mid] < dewey) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo < deweys_.size() && deweys_[lo] == dewey) {
-    return static_cast<NodeId>(lo);
-  }
-  return kInvalidNodeId;
 }
 
 std::string NodeTable::TagPath(NodeId id) const {

@@ -1,11 +1,13 @@
-// Minimal path queries over the DOM and a node table keyed by Dewey ids.
+// Minimal path queries over the DOM and a node table keyed by pre-order ids.
 //
-// The node table assigns every node a pre-order integer id and its Dewey
-// label; it is the bridge between the DOM and the search engine's posting
-// lists (which store node ids, not pointers). For arena documents the
-// table is produced by the parser itself (fused build, see xml/parser.h):
-// ids, parents, Dewey labels and subtree extents are assigned while tags
-// close, so no second tree walk ever happens. IdOf reads the id stamped
+// The node table assigns every node a pre-order integer id; it is the
+// bridge between the DOM and the search engine's posting lists (which
+// store node ids, not pointers). Ancestry is answered from two int32
+// columns — parent links and subtree extents (a subtree is a contiguous
+// id range) — so no per-node path label is stored. For arena documents
+// the table is produced by the parser itself (fused build, see
+// xml/parser.h): ids, parents and subtree extents are assigned while
+// tags close, so no second tree walk ever happens. IdOf reads the id stamped
 // on the node (validated against the table) — the seed's
 // unordered_map<const Node*, NodeId> is gone.
 
@@ -17,7 +19,6 @@
 #include <string_view>
 #include <vector>
 
-#include "xml/dewey.h"
 #include "xml/document.h"
 
 namespace xsact::xml {
@@ -26,9 +27,9 @@ namespace xsact::xml {
 using NodeId = int32_t;
 inline constexpr NodeId kInvalidNodeId = -1;
 
-/// Immutable side table: node pointers, Dewey labels, parent links,
-/// subtree extents and tag paths for every node of a document, indexed by
-/// pre-order NodeId.
+/// Immutable side table: node pointers, parent links and subtree extents
+/// for every node of a document, indexed by pre-order NodeId (16 bytes
+/// per node).
 class NodeTable {
  public:
   /// Builds the table for `doc` (re-build after any mutation). Arena
@@ -41,9 +42,6 @@ class NodeTable {
   bool empty() const { return nodes_.empty(); }
 
   const Node* node(NodeId id) const { return nodes_[static_cast<size_t>(id)]; }
-  const DeweyId& dewey(NodeId id) const {
-    return deweys_[static_cast<size_t>(id)];
-  }
   NodeId parent(NodeId id) const { return parents_[static_cast<size_t>(id)]; }
 
   /// One past the last pre-order id of the subtree rooted at `id`
@@ -66,8 +64,13 @@ class NodeTable {
     return kInvalidNodeId;
   }
 
-  /// Id of the node with exactly this Dewey label, or kInvalidNodeId.
-  NodeId FindByDewey(const DeweyId& dewey) const;
+  /// Bytes held by the table's per-node columns (node pointer, parent,
+  /// subtree end: 16 per node on 64-bit targets).
+  size_t ColumnBytes() const {
+    return nodes_.size() * sizeof(const Node*) +
+           parents_.size() * sizeof(NodeId) +
+           subtree_end_.size() * sizeof(NodeId);
+  }
 
   /// Slash-separated tag path from the root, e.g. "catalog/product/name".
   std::string TagPath(NodeId id) const;
@@ -76,7 +79,6 @@ class NodeTable {
   friend class ArenaParser;
 
   std::vector<const Node*> nodes_;
-  std::vector<DeweyId> deweys_;
   std::vector<NodeId> parents_;
   std::vector<NodeId> subtree_end_;
 };

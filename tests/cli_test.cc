@@ -229,6 +229,20 @@ TEST(CliAppTest, UnknownDatasetFails) {
   EXPECT_NE(err.str().find("unknown dataset"), std::string::npos);
 }
 
+TEST(CliAppTest, StatsReportPerStructureMemory) {
+  CliOptions options;
+  options.stats = true;
+  std::ostringstream out, err;
+  EXPECT_EQ(RunApp(options, out, err), 0) << err.str();
+  for (const char* line :
+       {"index: ", "memory: ", "  node records: ", "  node table: ",
+        "  source text: ", "  postings: ", "  category index: "}) {
+    EXPECT_NE(out.str().find(line), std::string::npos) << line;
+  }
+  // The node table's three columns: 16 bytes per node.
+  EXPECT_NE(out.str().find("(16.0 B/node)"), std::string::npos);
+}
+
 TEST(CliAppTest, ListModeShowsSnippets) {
   CliOptions options;
   options.query = "gps";

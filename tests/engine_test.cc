@@ -6,6 +6,7 @@
 #include "data/outdoor_retailer.h"
 #include "data/product_reviews.h"
 #include "data/vocab.h"
+#include "engine/snapshot.h"
 #include "engine/xsact.h"
 #include "xml/writer.h"
 
@@ -27,6 +28,30 @@ TEST(XsactTest, FromXmlParsesAndSearches) {
   auto results = xsact->Search("gps");
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results->size(), 2u);
+}
+
+TEST(SnapshotMemoryTest, AccountsEveryStructure) {
+  data::ProductReviewsConfig config;
+  config.num_products = 8;
+  config.seed = 5;
+  const std::string text =
+      xml::WriteDocument(data::GenerateProductReviews(config));
+  StatusOr<SnapshotPtr> snapshot = CorpusSnapshot::FromXml(text);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  const MemoryStats m = (*snapshot)->memory_stats();
+  const size_t nodes = (*snapshot)->table().size();
+  ASSERT_GT(nodes, 0u);
+  EXPECT_EQ(m.nodes, nodes);
+  EXPECT_EQ(m.node_records_bytes, nodes * sizeof(xml::Node));
+  // Pointer, parent and subtree end; no per-node path label.
+  EXPECT_EQ(m.node_table_bytes, nodes * 16);
+  EXPECT_EQ(m.source_text_bytes, text.size());  // no entities to decode
+  EXPECT_EQ(m.postings_bytes, (*snapshot)->index_stats().compressed_bytes);
+  EXPECT_EQ(m.category_index_bytes, nodes * 22);
+  EXPECT_EQ(m.total_bytes(), m.node_records_bytes + m.node_table_bytes +
+                                 m.source_text_bytes + m.postings_bytes +
+                                 m.category_index_bytes);
+  EXPECT_DOUBLE_EQ(m.PerNode(m.node_table_bytes), 16.0);
 }
 
 class EngineFixture : public ::testing::Test {

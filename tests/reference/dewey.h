@@ -1,17 +1,18 @@
-// Dewey identifiers: hierarchical node labels for document-order reasoning.
+// Dewey identifiers: hierarchical node labels, kept as a test and bench
+// oracle.
 //
-// A Dewey id is the path of child indices from the root ("0.2.5"). Dewey
-// labels give O(depth) ancestor tests and lowest-common-ancestor
-// computation, which are the primitives of the SLCA keyword-search
-// algorithm the XSACT search engine is built on.
+// A Dewey id is the path of child indices from the root ("0.2.5"). The
+// serving path never stores one: SLCA/ELCA kernels work on pre-order
+// NodeIds with parent links and subtree extents (see search/slca.h).
+// Equivalence suites and the frozen seed baselines still compare or
+// consume Dewey labels, so this library derives them from a NodeTable
+// on demand (DeweyLabels).
 //
 // Storage is a small inline buffer (12 components — deeper than any of
-// the demo corpora) with a heap spill for pathological depths: a corpus
-// load materializes one DeweyId per node, and the inline buffer makes
-// that (and every label copy on the SLCA query path) allocation-free.
+// the demo corpora) with a heap spill for pathological depths.
 
-#ifndef XSACT_XML_DEWEY_H_
-#define XSACT_XML_DEWEY_H_
+#ifndef XSACT_TESTS_REFERENCE_DEWEY_H_
+#define XSACT_TESTS_REFERENCE_DEWEY_H_
 
 #include <algorithm>
 #include <cstdint>
@@ -19,7 +20,9 @@
 #include <string>
 #include <vector>
 
-namespace xsact::xml {
+#include "xml/path.h"
+
+namespace xsact::reference {
 
 /// Hierarchical node label; lexicographic order == document pre-order.
 class DeweyId {
@@ -30,8 +33,7 @@ class DeweyId {
     Assign(components.data(), components.size());
   }
 
-  /// Copies `size` components from `data` (the arena parser's running
-  /// child-ordinal path).
+  /// Copies the first `size` components of `data`.
   DeweyId(const int32_t* data, size_t size) { Assign(data, size); }
 
   DeweyId(const DeweyId& other) { Assign(other.data_, other.size_); }
@@ -175,6 +177,16 @@ class DeweyId {
   int32_t inline_[kInlineCapacity];
 };
 
-}  // namespace xsact::xml
+/// The Dewey label of every node of `table`, indexed by NodeId. One
+/// linear pass: a node's label is its parent's plus its ordinal among
+/// the parent's children, which appear in increasing pre-order id.
+std::vector<DeweyId> DeweyLabels(const xml::NodeTable& table);
 
-#endif  // XSACT_XML_DEWEY_H_
+/// Id of the node whose label in `labels` (pre-order, as returned by
+/// DeweyLabels) is exactly `dewey`, or kInvalidNodeId.
+xml::NodeId FindByDewey(const std::vector<DeweyId>& labels,
+                        const DeweyId& dewey);
+
+}  // namespace xsact::reference
+
+#endif  // XSACT_TESTS_REFERENCE_DEWEY_H_

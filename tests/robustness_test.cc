@@ -101,7 +101,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SelectorDeterminism,
 // Engine-level robustness.
 // ---------------------------------------------------------------------------
 
-TEST(EngineSemanticsTest, ScanIndexedAndElcaEnginesAgreeOnEntityResults) {
+TEST(EngineSemanticsTest, ScanSlcaAndElcaEnginesAgreeOnEntityResults) {
   // For entity-level results on catalog-shaped data the three semantics
   // coincide after return-node inference: an ELCA ancestor above the
   // entity maps back to... itself only if it IS an entity; catalogs put
@@ -110,7 +110,7 @@ TEST(EngineSemanticsTest, ScanIndexedAndElcaEnginesAgreeOnEntityResults) {
       {.num_products = 8, .min_reviews = 3, .max_reviews = 8, .seed = 5}));
   std::vector<std::vector<std::string>> titles;
   for (search::SlcaAlgorithm alg :
-       {search::SlcaAlgorithm::kScan, search::SlcaAlgorithm::kIndexed}) {
+       {search::SlcaAlgorithm::kScan, search::SlcaAlgorithm::kSlca}) {
     auto xsact = engine::Xsact::FromXml(text, alg);
     ASSERT_TRUE(xsact.ok());
     auto results = xsact->Search("gps compact");

@@ -1,5 +1,5 @@
-// Unit and property tests for the inverted index, the two SLCA
-// implementations and the XSeek-style search engine.
+// Unit and property tests for the inverted index, the scan and merge
+// SLCA kernels and the XSeek-style search engine.
 
 #include <gtest/gtest.h>
 
@@ -93,6 +93,19 @@ DecodedLists Lists(const InvertedIndex& index,
   return out;
 }
 
+/// SLCA through the merge kernel over the index's compressed postings,
+/// exactly as the engine's selective dispatch hands them over.
+std::vector<xml::NodeId> SlcaMerge(const xml::NodeTable& table,
+                                   const InvertedIndex& index,
+                                   const std::vector<std::string>& terms) {
+  MergeLists sources;
+  for (const auto& t : terms) {
+    sources.push_back(PostingSource(index.Postings(t)));
+  }
+  MergeScratch scratch;
+  return ComputeSlcaMerge(table, sources, &scratch);
+}
+
 class SlcaTest : public ::testing::Test {
  protected:
   void Init(std::string_view text) {
@@ -147,10 +160,9 @@ TEST_F(SlcaTest, MissingKeywordYieldsEmpty) {
   Init("<c><n>alpha</n></c>");
   EXPECT_TRUE(
       ComputeSlcaByScan(table_, Lists(index_, {"alpha", "zzz"}).lists).empty());
-  EXPECT_TRUE(
-      ComputeSlcaIndexed(table_, Lists(index_, {"alpha", "zzz"}).lists).empty());
+  EXPECT_TRUE(SlcaMerge(table_, index_, {"alpha", "zzz"}).empty());
   EXPECT_TRUE(ComputeSlcaByScan(table_, {}).empty());
-  EXPECT_TRUE(ComputeSlcaIndexed(table_, {}).empty());
+  EXPECT_TRUE(SlcaMerge(table_, index_, {}).empty());
 }
 
 TEST_F(SlcaTest, ThreeKeywords) {
@@ -165,7 +177,7 @@ TEST_F(SlcaTest, ThreeKeywords) {
   EXPECT_EQ(table_.node(slca[0])->tag(), "a");
 }
 
-TEST_F(SlcaTest, IndexedMatchesScanOnHandcrafted) {
+TEST_F(SlcaTest, MergeMatchesScanOnHandcrafted) {
   Init(
       "<movies>"
       "<movie><title>star quest</title><d>one</d></movie>"
@@ -179,16 +191,16 @@ TEST_F(SlcaTest, IndexedMatchesScanOnHandcrafted) {
                                              {"one"},
                                              {"star", "dragon"}}) {
     EXPECT_EQ(ComputeSlcaByScan(table_, Lists(index_, terms).lists),
-              ComputeSlcaIndexed(table_, Lists(index_, terms).lists))
+              SlcaMerge(table_, index_, terms))
         << "terms: " << terms[0];
   }
 }
 
-// Property: the two SLCA implementations agree on random documents and
-// random keyword subsets.
+// Property: the scan and merge SLCA kernels agree on random documents
+// and random keyword subsets.
 class SlcaEquivalenceProperty : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(SlcaEquivalenceProperty, ScanEqualsIndexed) {
+TEST_P(SlcaEquivalenceProperty, ScanEqualsMerge) {
   Rng rng(GetParam());
   // Random tree whose leaves carry words from a tiny pool (forcing both
   // overlap and repetition).
@@ -217,8 +229,8 @@ TEST_P(SlcaEquivalenceProperty, ScanEqualsIndexed) {
     const DecodedLists decoded = Lists(index, terms);
     const MatchLists& lists = decoded.lists;
     const auto scan = ComputeSlcaByScan(table, lists);
-    const auto indexed = ComputeSlcaIndexed(table, lists);
-    EXPECT_EQ(scan, indexed) << "seed " << GetParam();
+    const auto merge = SlcaMerge(table, index, terms);
+    EXPECT_EQ(scan, merge) << "seed " << GetParam();
   }
 }
 
@@ -297,15 +309,15 @@ TEST(SearchEngineTest, DeduplicatesResultsMappingToOneEntity) {
   EXPECT_EQ(results->at(0).root->tag(), "review");
 }
 
-TEST(SearchEngineTest, ScanAndIndexedEnginesAgree) {
+TEST(SearchEngineTest, ScanAndSlcaEnginesAgree) {
   xml::Document doc = data::GenerateProductReviews(
       {.num_products = 6, .min_reviews = 3, .max_reviews = 8, .seed = 3});
   const std::string text = xml::WriteDocument(doc);
   SearchEngine scan_engine(Doc(text), SlcaAlgorithm::kScan);
-  SearchEngine indexed_engine(Doc(text), SlcaAlgorithm::kIndexed);
+  SearchEngine slca_engine(Doc(text), SlcaAlgorithm::kSlca);
   for (const char* q : {"gps", "compact", "garmin gps", "easy"}) {
     auto a = scan_engine.Search(q);
-    auto b = indexed_engine.Search(q);
+    auto b = slca_engine.Search(q);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ASSERT_EQ(a->size(), b->size()) << q;

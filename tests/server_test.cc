@@ -2,10 +2,10 @@
 // Covers the serving contract end to end — byte-identical /query bodies
 // vs the direct router path, the shared Status→HTTP mapping (404/429/
 // 500/504 + Retry-After), keep-alive and pipelining, slow-loris 408,
-// oversized-request 431, connection-cap 503, client-disconnect
-// cancellation reaching the engine, graceful vs forced drain, server
-// destruction while a detached evaluation still runs, and the accept
-// backoff when the process is out of descriptors.
+// idle-close accounting, oversized-request 431, connection-cap 503,
+// client-disconnect cancellation reaching the engine, graceful vs forced
+// drain, server destruction while a detached evaluation still runs, and
+// the accept backoff when the process is out of descriptors.
 
 #include "server/server.h"
 
@@ -151,6 +151,8 @@ TEST_F(ServerTest, HealthzAndStatzReportServingState) {
   EXPECT_NE(statz->body.find("\"dataset\":\"products\""), std::string::npos);
   EXPECT_NE(statz->body.find("\"admission\""), std::string::npos);
   EXPECT_NE(statz->body.find("\"health\""), std::string::npos);
+  EXPECT_NE(statz->body.find("\"node_table_bytes\":"), std::string::npos);
+  EXPECT_NE(statz->body.find("\"postings_bytes\":"), std::string::npos);
   EXPECT_NE(statz->body.find("\"draining\":false"), std::string::npos);
 }
 
@@ -311,6 +313,30 @@ TEST_F(ServerTest, SlowLorisGets408) {
   EXPECT_EQ(response->code, 408);
   EXPECT_FALSE(response->keep_alive);
   EXPECT_GE(server_->stats().timeouts, 1u);
+}
+
+TEST_F(ServerTest, IdleKeepAliveTimeoutIsCounted) {
+  ServerOptions options;
+  options.idle_timeout_ms = 200;
+  StartServer(options);
+  EXPECT_EQ(server_->stats().timeouts, 0u);
+  HttpClient client(port());
+  StatusOr<ClientResponse> health = client.Get("/healthz");
+  ASSERT_TRUE(health.ok()) << health.status();
+  ASSERT_TRUE(health->keep_alive);
+  EXPECT_EQ(server_->stats().timeouts, 0u);
+
+  // The connection now sits idle past idle_timeout_ms; the loop closes
+  // it and must count that close in /statz's timeouts.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_->stats().timeouts == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(server_->stats().timeouts, 1u);
+  // The close is silent: EOF, no response.
+  EXPECT_FALSE(client.ReadResponse().ok());
 }
 
 TEST_F(ServerTest, IdleKeepAliveConnectionIsClosedSilently) {

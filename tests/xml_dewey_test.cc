@@ -1,13 +1,16 @@
-// Unit tests for Dewey ids, the node table and path queries.
+// Unit tests for Dewey ids (the test/bench reference labels), the node
+// table and path queries.
 
 #include <gtest/gtest.h>
 
-#include "xml/dewey.h"
+#include "reference/dewey.h"
 #include "xml/parser.h"
 #include "xml/path.h"
 
 namespace xsact::xml {
 namespace {
+
+using reference::DeweyId;
 
 DeweyId D(std::vector<int32_t> v) { return DeweyId(std::move(v)); }
 
@@ -58,19 +61,24 @@ class NodeTableTest : public ::testing::Test {
   NodeTable table_;
 };
 
-TEST_F(NodeTableTest, PreOrderIdsAndDeweys) {
+TEST_F(NodeTableTest, PreOrderIdsAndDerivedDeweys) {
   // catalog=0, product=1, name=2, text=3, price=4, text=5, product=6, ...
   EXPECT_EQ(table_.size(), doc_.NodeCount());
   EXPECT_EQ(table_.node(0), doc_.root());
-  EXPECT_EQ(table_.dewey(0), DeweyId());
+  const std::vector<DeweyId> labels = reference::DeweyLabels(table_);
+  ASSERT_EQ(labels.size(), table_.size());
+  EXPECT_EQ(labels[0], DeweyId());
   EXPECT_EQ(table_.node(1)->tag(), "product");
-  EXPECT_EQ(table_.dewey(1), D({0}));
+  EXPECT_EQ(labels[1], D({0}));
   EXPECT_EQ(table_.node(2)->tag(), "name");
-  EXPECT_EQ(table_.dewey(2), D({0, 0}));
+  EXPECT_EQ(labels[2], D({0, 0}));
+  EXPECT_EQ(table_.node(4)->tag(), "price");
+  EXPECT_EQ(labels[4], D({0, 1}));
+  EXPECT_EQ(table_.node(6)->tag(), "product");
+  EXPECT_EQ(labels[6], D({1}));
   // Dewey order must equal id order everywhere.
-  for (size_t i = 1; i < table_.size(); ++i) {
-    EXPECT_LT(table_.dewey(static_cast<NodeId>(i - 1)),
-              table_.dewey(static_cast<NodeId>(i)));
+  for (size_t i = 1; i < labels.size(); ++i) {
+    EXPECT_LT(labels[i - 1], labels[i]);
   }
 }
 
@@ -90,11 +98,24 @@ TEST_F(NodeTableTest, IdOfRoundtrips) {
 }
 
 TEST_F(NodeTableTest, FindByDewey) {
-  for (size_t i = 0; i < table_.size(); ++i) {
-    EXPECT_EQ(table_.FindByDewey(table_.dewey(static_cast<NodeId>(i))),
+  const std::vector<DeweyId> labels = reference::DeweyLabels(table_);
+  for (size_t i = 0; i < labels.size(); ++i) {
+    EXPECT_EQ(reference::FindByDewey(labels, labels[i]),
               static_cast<NodeId>(i));
   }
-  EXPECT_EQ(table_.FindByDewey(D({9, 9})), kInvalidNodeId);
+  EXPECT_EQ(reference::FindByDewey(labels, D({9, 9})), kInvalidNodeId);
+}
+
+TEST_F(NodeTableTest, ColumnBytesArePinnedAt16PerNode) {
+  // Node pointer 8 + parent 4 + subtree end 4. A new per-node column
+  // must be a deliberate change to this test, never a silent one.
+  static_assert(sizeof(NodeTable) == 3 * sizeof(std::vector<NodeId>),
+                "NodeTable grew a member: account for it in ColumnBytes");
+  EXPECT_EQ(table_.ColumnBytes(), table_.size() * 16);
+  StatusOr<ParsedCorpus> fused = ParseCorpus(
+      "<catalog><product><name>alpha</name></product></catalog>");
+  ASSERT_TRUE(fused.ok()) << fused.status();
+  EXPECT_EQ(fused->table.ColumnBytes(), fused->table.size() * 16);
 }
 
 TEST_F(NodeTableTest, TagPath) {

@@ -18,12 +18,15 @@
 #include "data/movies.h"
 #include "data/outdoor_retailer.h"
 #include "data/product_reviews.h"
+#include "reference/dewey.h"
 #include "xml/parser.h"
 #include "xml/path.h"
 #include "xml/writer.h"
 
 namespace xsact::xml {
 namespace {
+
+using reference::DeweyId;
 
 // ---------------------------------------------------------------------------
 // Seed parser, reproduced verbatim (recursive descent over a char cursor,
@@ -432,9 +435,11 @@ struct Table {
 // ---------------------------------------------------------------------------
 
 /// Parses `text` with both parsers and asserts byte-identical serialized
-/// DOMs plus an identical NodeTable (ids, parents, Deweys, subtree
-/// extents, tag paths) from the fused build, the walk-based build over
-/// the arena document, and the seed's recursive build.
+/// DOMs plus an identical NodeTable (ids, parents, subtree extents, tag
+/// paths) from the fused build, the walk-based build over the arena
+/// document, and the seed's recursive build. The tables store no Dewey
+/// labels; the fused and walk tables' labels are derived from their
+/// parent chains and sibling order and must equal the seed's stored ones.
 void ExpectEquivalent(const std::string& text, ParseOptions options = {}) {
   StatusOr<Document> legacy = seed::Parse(text, options);
   ASSERT_TRUE(legacy.ok()) << legacy.status();
@@ -453,6 +458,9 @@ void ExpectEquivalent(const std::string& text, ParseOptions options = {}) {
 
   const seed::Table legacy_table = seed::Table::Build(*legacy);
   const NodeTable walk_table = NodeTable::Build(arena_doc);
+  const std::vector<DeweyId> fused_deweys =
+      reference::DeweyLabels(fused_table);
+  const std::vector<DeweyId> walk_deweys = reference::DeweyLabels(walk_table);
 
   ASSERT_EQ(legacy_table.nodes.size(), fused_table.size());
   ASSERT_EQ(walk_table.size(), fused_table.size());
@@ -460,8 +468,8 @@ void ExpectEquivalent(const std::string& text, ParseOptions options = {}) {
     const NodeId id = static_cast<NodeId>(i);
     EXPECT_EQ(legacy_table.parents[i], fused_table.parent(id));
     EXPECT_EQ(walk_table.parent(id), fused_table.parent(id));
-    EXPECT_EQ(legacy_table.deweys[i], fused_table.dewey(id));
-    EXPECT_EQ(walk_table.dewey(id), fused_table.dewey(id));
+    EXPECT_EQ(legacy_table.deweys[i], fused_deweys[i]);
+    EXPECT_EQ(walk_deweys[i], fused_deweys[i]);
     EXPECT_EQ(walk_table.subtree_end(id), fused_table.subtree_end(id));
     // Extents match the seed's recursive subtree size.
     EXPECT_EQ(static_cast<size_t>(fused_table.subtree_end(id) - id),
