@@ -19,6 +19,7 @@
 // Emits machine-readable BENCH_index_compress.json.
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -35,42 +36,47 @@ namespace {
 
 using namespace xsact;
 
+/// One corpus row. The corpus is generated only when its row runs and is
+/// freed with the row's engines, so at most one million-node DOM (plus
+/// the scan engine's clone) is alive at a time.
 struct Workload {
   std::string corpus;
-  xml::Document doc;
+  std::function<xml::Document()> generate;
   std::vector<std::string> queries;
 };
 
-std::vector<Workload> BuildWorkloads() {
+std::vector<Workload> Workloads() {
   std::vector<Workload> workloads;
-  {
-    // ~1.5M nodes: 2000 products x 8..72 reviews.
-    data::ProductReviewsConfig config;
-    config.num_products = 2000;
-    workloads.push_back(Workload{
-        "product_reviews", data::GenerateProductReviews(config),
-        {"tomtom gps", "magellan compact", "navigon marine",
-         "garmin accurate"}});
-  }
-  {
-    // ~1.3M nodes: 8 brands x 3600..12000 products.
-    data::OutdoorRetailerConfig config;
-    config.min_products = 18 * 200;
-    config.max_products = 60 * 200;
-    workloads.push_back(Workload{
-        "outdoor_retailer", data::GenerateOutdoorRetailer(config),
-        {"marmot packable", "patagonia down", "salomon windbreakers",
-         "mammut stretch"}});
-  }
-  {
-    // ~3.9M nodes: the default franchise mix scaled 60x.
-    data::MoviesConfig config;
-    for (int& size : config.franchise_sizes) size *= 60;
-    workloads.push_back(Workload{
-        "movies", data::GenerateMovies(config),
-        {"phantom kimura", "ember eclipse", "crystal requiem",
-         "thunder moreau"}});
-  }
+  // ~1.5M nodes: 2000 products x 8..72 reviews.
+  workloads.push_back(Workload{"product_reviews",
+                               [] {
+                                 data::ProductReviewsConfig config;
+                                 config.num_products = 2000;
+                                 return data::GenerateProductReviews(config);
+                               },
+                               {"tomtom gps", "magellan compact",
+                                "navigon marine", "garmin accurate"}});
+  // ~1.3M nodes: 8 brands x 3600..12000 products.
+  workloads.push_back(Workload{"outdoor_retailer",
+                               [] {
+                                 data::OutdoorRetailerConfig config;
+                                 config.min_products = 18 * 200;
+                                 config.max_products = 60 * 200;
+                                 return data::GenerateOutdoorRetailer(config);
+                               },
+                               {"marmot packable", "patagonia down",
+                                "salomon windbreakers", "mammut stretch"}});
+  // ~3.9M nodes: the default franchise mix scaled 60x.
+  workloads.push_back(Workload{"movies",
+                               [] {
+                                 data::MoviesConfig config;
+                                 for (int& size : config.franchise_sizes) {
+                                   size *= 60;
+                                 }
+                                 return data::GenerateMovies(config);
+                               },
+                               {"phantom kimura", "ember eclipse",
+                                "crystal requiem", "thunder moreau"}});
   return workloads;
 }
 
@@ -120,16 +126,17 @@ int main() {
   bool gate_ok = true;
   std::vector<Row> rows;
 
-  for (Workload& w : BuildWorkloads()) {
+  for (const Workload& w : Workloads()) {
     Row row;
     row.corpus = w.corpus;
 
     // Two engines over the same document: the pure-scan reference
     // configuration and the merge-dispatching production configuration.
-    search::SearchEngine scan_engine(w.doc.Clone(),
+    // Both die at the end of the row, taking the corpus with them.
+    xml::Document doc = w.generate();
+    search::SearchEngine scan_engine(doc.Clone(),
                                      search::SlcaAlgorithm::kScan);
-    search::SearchEngine engine(std::move(w.doc),
-                                search::SlcaAlgorithm::kSlca);
+    search::SearchEngine engine(std::move(doc), search::SlcaAlgorithm::kSlca);
     const xml::NodeTable& table = engine.table();
     const search::InvertedIndex& index = engine.index();
     row.nodes = table.size();

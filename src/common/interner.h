@@ -6,16 +6,22 @@
 //
 // Lookups are heterogeneous: Find/Intern take a string_view and probe the
 // hash table directly, so a cache hit allocates nothing. Interned strings
-// live in a deque (stable addresses), and the map keys are views into it.
+// live in a deque (stable addresses); the hash table is one flat
+// open-addressing array of (hash, id) slots, so a new string costs its
+// own copy and no per-entry node, one hash computation per call, and
+// growth re-slots entries from their stored hashes without touching the
+// strings.
 
 #ifndef XSACT_COMMON_INTERNER_H_
 #define XSACT_COMMON_INTERNER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 #include "common/macros.h"
 
@@ -26,8 +32,7 @@ namespace xsact {
 class StringInterner {
  public:
   StringInterner() = default;
-  /// Not copyable: a copy's map keys would be views into the SOURCE's
-  /// storage. Moves keep views valid (deque elements do not relocate).
+  /// Move-only: an interner can be large, and copying one is never meant.
   StringInterner(const StringInterner&) = delete;
   StringInterner& operator=(const StringInterner&) = delete;
   StringInterner(StringInterner&&) = default;
@@ -36,18 +41,20 @@ class StringInterner {
   /// Returns the id for `s`, inserting it if new. Allocates only when `s`
   /// has not been seen before.
   int32_t Intern(std::string_view s) {
-    auto it = ids_.find(s);
-    if (it != ids_.end()) return it->second;
+    if ((strings_.size() + 1) * 4 > slots_.size() * 3) Grow();
+    const uint32_t hash = Hash(s);
+    Slot& slot = slots_[Probe(s, hash)];
+    if (slot.id >= 0) return slot.id;
     const int32_t id = static_cast<int32_t>(strings_.size());
     strings_.emplace_back(s);
-    ids_.emplace(std::string_view(strings_.back()), id);
+    slot = Slot{hash, id};
     return id;
   }
 
   /// Returns the id for `s`, or -1 when not interned. Allocation-free.
   int32_t Find(std::string_view s) const {
-    auto it = ids_.find(s);
-    return it == ids_.end() ? -1 : it->second;
+    if (slots_.empty()) return -1;
+    return slots_[Probe(s, Hash(s))].id;
   }
 
   /// Returns the string for a valid id.
@@ -59,16 +66,51 @@ class StringInterner {
   /// Number of interned strings.
   size_t size() const { return strings_.size(); }
 
-  /// Removes every interned string; the hash table keeps its buckets, so
-  /// a cleared interner re-fills without rehash churn (workspace reuse).
+  /// Removes every interned string; the table keeps its slots, so a
+  /// cleared interner re-fills without regrowing (workspace reuse).
   void Clear() {
-    ids_.clear();
     strings_.clear();
+    std::fill(slots_.begin(), slots_.end(), Slot{});
   }
 
  private:
-  std::deque<std::string> strings_;  // deque: stable addresses for the keys
-  std::unordered_map<std::string_view, int32_t> ids_;
+  struct Slot {
+    uint32_t hash = 0;
+    int32_t id = -1;  ///< -1: empty
+  };
+
+  static uint32_t Hash(std::string_view s) {
+    return static_cast<uint32_t>(std::hash<std::string_view>()(s));
+  }
+
+  /// Index of the slot holding `s`, or of the empty slot where it would
+  /// go. The table is never full (load factor <= 3/4).
+  size_t Probe(std::string_view s, uint32_t hash) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.id < 0) return i;
+      if (slot.hash == hash && strings_[static_cast<size_t>(slot.id)] == s) {
+        return i;
+      }
+    }
+  }
+
+  /// Doubles the table (power of two, at least 16).
+  void Grow() {
+    std::vector<Slot> old(std::max<size_t>(16, slots_.size() * 2));
+    old.swap(slots_);
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.id < 0) continue;
+      size_t i = slot.hash & mask;
+      while (slots_[i].id >= 0) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+
+  std::deque<std::string> strings_;  // id -> string; stable addresses
+  std::vector<Slot> slots_;          // open addressing, linear probing
 };
 
 }  // namespace xsact

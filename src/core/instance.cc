@@ -37,13 +37,35 @@ ComparisonInstance ComparisonInstance::Build(
   inst.entries_.resize(static_cast<size_t>(n));
   inst.groups_.resize(static_cast<size_t>(n));
 
+  // Entities group in ascending name order. The handful of distinct
+  // catalog entities is ranked once per build, so the grouping sort below
+  // compares integers, never entity strings.
+  std::vector<int32_t> entity_rank(catalog->NumEntities());
+  {
+    std::vector<int32_t> by_name(catalog->NumEntities());
+    std::iota(by_name.begin(), by_name.end(), 0);
+    std::sort(by_name.begin(), by_name.end(), [&](int32_t a, int32_t b) {
+      return catalog->EntityName(a) < catalog->EntityName(b);
+    });
+    for (size_t r = 0; r < by_name.size(); ++r) {
+      entity_rank[static_cast<size_t>(by_name[r])] = static_cast<int32_t>(r);
+    }
+  }
+
+  std::vector<int32_t> by_entity;
+  std::vector<int32_t> type_rank;  // stats index -> entity rank
   for (int i = 0; i < n; ++i) {
     const feature::ResultFeatures& rf = inst.results_[static_cast<size_t>(i)];
-    // Group by entity name (ascending) with the validity order inside each
-    // group: one sort on (entity, occurrence desc, type id) — type ids are
-    // unique, so the key is total and this reproduces the sorted-map
+    // Group by entity (ascending name) with the validity order inside each
+    // group: one sort on (entity rank, occurrence desc, type id) — type ids
+    // are unique, so the key is total and this reproduces the sorted-map
     // bucketing it replaces without per-result map churn.
-    std::vector<int32_t> by_entity(rf.types().size());
+    type_rank.resize(rf.types().size());
+    for (size_t k = 0; k < rf.types().size(); ++k) {
+      type_rank[k] = entity_rank[static_cast<size_t>(
+          catalog->EntityIdOf(rf.types()[k].type_id))];
+    }
+    by_entity.resize(rf.types().size());
     std::iota(by_entity.begin(), by_entity.end(), 0);
     std::sort(by_entity.begin(), by_entity.end(),
               [&](int32_t x, int32_t y) {
@@ -51,8 +73,8 @@ ComparisonInstance ComparisonInstance::Build(
                     rf.types()[static_cast<size_t>(x)];
                 const feature::TypeStats& b =
                     rf.types()[static_cast<size_t>(y)];
-                const std::string& ea = catalog->EntityOf(a.type_id);
-                const std::string& eb = catalog->EntityOf(b.type_id);
+                const int32_t ea = type_rank[static_cast<size_t>(x)];
+                const int32_t eb = type_rank[static_cast<size_t>(y)];
                 if (ea != eb) return ea < eb;
                 if (a.occurrence != b.occurrence) {
                   return a.occurrence > b.occurrence;
@@ -61,13 +83,16 @@ ComparisonInstance ComparisonInstance::Build(
               });
     auto& entries = inst.entries_[static_cast<size_t>(i)];
     auto& groups = inst.groups_[static_cast<size_t>(i)];
+    entries.reserve(by_entity.size());
+    int32_t group_rank = -1;
     for (const int32_t stats_index : by_entity) {
       const feature::TypeStats& ts =
           rf.types()[static_cast<size_t>(stats_index)];
-      const std::string& entity_name = catalog->EntityOf(ts.type_id);
-      if (groups.empty() || groups.back().entity != entity_name) {
+      if (groups.empty() ||
+          type_rank[static_cast<size_t>(stats_index)] != group_rank) {
+        group_rank = type_rank[static_cast<size_t>(stats_index)];
         EntityGroup group;
-        group.entity = entity_name;
+        group.entity = catalog->EntityOf(ts.type_id);
         group.begin = static_cast<int32_t>(entries.size());
         group.end = group.begin;
         groups.push_back(std::move(group));
@@ -87,16 +112,22 @@ ComparisonInstance ComparisonInstance::Build(
 
   // Dense-index every type seen anywhere (ascending TypeId — deterministic
   // and binary-searchable), then stamp each entry with its dense type and
-  // build the flat [result x type] -> entry table.
-  std::vector<feature::TypeId> all_types;
+  // build the flat [result x type] -> entry table. TypeIds are dense per
+  // catalog, so one pass over a catalog-sized array both orders and
+  // numbers them — no sort, no search.
+  std::vector<int32_t> dense_of(catalog->NumTypes(), -1);
   for (int i = 0; i < n; ++i) {
     for (const Entry& e : inst.entries_[static_cast<size_t>(i)]) {
-      all_types.push_back(e.type_id);
+      XSACT_CHECK(static_cast<size_t>(e.type_id) < dense_of.size());
+      dense_of[static_cast<size_t>(e.type_id)] = 0;
     }
   }
-  std::sort(all_types.begin(), all_types.end());
-  all_types.erase(std::unique(all_types.begin(), all_types.end()),
-                  all_types.end());
+  std::vector<feature::TypeId> all_types;
+  for (size_t t = 0; t < dense_of.size(); ++t) {
+    if (dense_of[t] < 0) continue;
+    dense_of[t] = static_cast<int32_t>(all_types.size());
+    all_types.push_back(static_cast<feature::TypeId>(t));
+  }
   inst.diff_matrix_ = DiffMatrix(std::move(all_types), n);
 
   const int num_types = inst.diff_matrix_.num_types();
@@ -105,8 +136,8 @@ ComparisonInstance ComparisonInstance::Build(
   for (int i = 0; i < n; ++i) {
     auto& entries = inst.entries_[static_cast<size_t>(i)];
     for (size_t k = 0; k < entries.size(); ++k) {
-      entries[k].dense_type = inst.diff_matrix_.DenseIndex(entries[k].type_id);
-      XSACT_CHECK(entries[k].dense_type >= 0);
+      entries[k].dense_type =
+          dense_of[static_cast<size_t>(entries[k].type_id)];
       inst.entry_of_type_[static_cast<size_t>(i) *
                               static_cast<size_t>(num_types) +
                           static_cast<size_t>(entries[k].dense_type)] =

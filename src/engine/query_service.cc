@@ -54,20 +54,37 @@ std::string QueryService::NormalizeQuery(std::string_view query) {
   return out;
 }
 
+// Every CompareOptions field can change an outcome, so every field is in
+// the fingerprint; a field left out would alias cache entries across
+// different options. The structured bindings in OptionsFingerprint name
+// each field of the three structs, so adding a field stops this file
+// compiling until the fingerprint is revisited. The size checks pin the
+// same layouts on LP64 targets (the string member's size varies by
+// standard library).
+static_assert(sizeof(void*) != 8 || sizeof(core::SelectorOptions) == 12,
+              "SelectorOptions changed: revisit OptionsFingerprint");
+static_assert(sizeof(void*) != 8 || sizeof(feature::ExtractorOptions) == 24,
+              "ExtractorOptions changed: revisit OptionsFingerprint");
+static_assert(sizeof(void*) != 8 ||
+                  sizeof(CompareOptions) == 56 + sizeof(std::string),
+              "CompareOptions changed: revisit OptionsFingerprint");
+
 std::string QueryService::OptionsFingerprint(const CompareOptions& options) {
+  const auto& [algorithm, selector, diff_threshold, extractor,
+               lift_results_to, max_compared] = options;
+  const auto& [size_bound, max_rounds, fill_to_bound] = selector;
+  const auto& [fold_value_case, max_value_length, skip_empty_values] =
+      extractor;
   // %a renders doubles as exact hex floats: two fingerprints are equal
   // iff every numeric field is bit-for-bit equal.
   char buf[160];
   std::snprintf(buf, sizeof(buf), "a%d|b%d|r%d|f%d|t%a|vc%d|vl%zu|ve%d|m%zu|",
-                static_cast<int>(options.algorithm),
-                options.selector.size_bound, options.selector.max_rounds,
-                options.selector.fill_to_bound ? 1 : 0, options.diff_threshold,
-                options.extractor.fold_value_case ? 1 : 0,
-                options.extractor.max_value_length,
-                options.extractor.skip_empty_values ? 1 : 0,
-                options.max_compared);
+                static_cast<int>(algorithm), size_bound, max_rounds,
+                fill_to_bound ? 1 : 0, diff_threshold,
+                fold_value_case ? 1 : 0, max_value_length,
+                skip_empty_values ? 1 : 0, max_compared);
   std::string out(buf);
-  out.append(options.lift_results_to);  // last field: free-form, no escaping
+  out.append(lift_results_to);  // last field: free-form, no escaping
   return out;
 }
 

@@ -51,6 +51,12 @@ StatusOr<ComparisonOutcome> CompareResults(
     if (node == nullptr) {
       return Status::InvalidArgument("null result root");
     }
+    // Extraction sweeps the snapshot's flat per-node columns, so a root
+    // must be a node of the snapshot's document (lifting stays inside it).
+    if (snapshot.table().IdOf(node) == xml::kInvalidNodeId) {
+      return Status::InvalidArgument(
+          "result root is not a node of the snapshot's document");
+    }
     const xml::Node* lifted = node;
     if (!options.lift_results_to.empty()) {
       for (const xml::Node* cur = node; cur != nullptr; cur = cur->parent()) {
@@ -79,20 +85,10 @@ StatusOr<ComparisonOutcome> CompareResults(
   features.reserve(roots.size());
   for (const xml::Node* root : roots) {
     XSACT_FAULT_HIT(kFaultSessionExtract);
-    // Serve-path fast extraction over the node's pre-order id range; the
-    // node-walk fallback covers roots from outside the snapshot's
-    // document.
-    const xml::NodeId root_id = snapshot.table().IdOf(root);
-    if (root_id != xml::kInvalidNodeId) {
-      features.push_back(extractor.Extract(
-          snapshot.table(), snapshot.category_index(), root_id,
-          outcome.catalog.get(), &session->extraction, session->cancel));
-    } else {
-      features.push_back(extractor.Extract(*root, snapshot.schema(),
-                                           outcome.catalog.get(),
-                                           &session->extraction,
-                                           session->cancel));
-    }
+    features.push_back(extractor.Extract(
+        snapshot.table(), snapshot.category_index(),
+        snapshot.table().IdOf(root), outcome.catalog.get(),
+        &session->extraction, session->cancel));
     // Expired extraction returns partial features; never compare those.
     XSACT_RETURN_IF_ERROR(session->cancel.Check());
   }

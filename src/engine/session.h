@@ -106,8 +106,9 @@ StatusOr<std::vector<search::SearchResult>> SearchRanked(
     std::string_view query);
 
 /// Compares explicit result subtrees (the user's checkbox selection).
-/// Reentrant across (snapshot, session) pairs; byte-identical output to
-/// the single-threaded path for any session, fresh or reused.
+/// Every root must be a node of the snapshot's document (kInvalidArgument
+/// otherwise). Reentrant across (snapshot, session) pairs; byte-identical
+/// output to the single-threaded path for any session, fresh or reused.
 StatusOr<ComparisonOutcome> CompareResults(
     const CorpusSnapshot& snapshot, QuerySession* session,
     const std::vector<const xml::Node*>& result_roots,

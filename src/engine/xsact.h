@@ -64,7 +64,9 @@ class Xsact {
   StatusOr<std::vector<search::SearchResult>> SearchRanked(
       std::string_view query) const;
 
-  /// Compares explicit result subtrees (the user's checkbox selection).
+  /// Compares explicit result subtrees (the user's checkbox selection):
+  /// nodes of this corpus's document, e.g. Search() results
+  /// (kInvalidArgument otherwise).
   StatusOr<ComparisonOutcome> CompareResults(
       const std::vector<const xml::Node*>& result_roots,
       const CompareOptions& options = {}) const;

@@ -1,11 +1,37 @@
 #include "entity/category_index.h"
 
+#include <algorithm>
+#include <atomic>
+#include <numeric>
+
 #include "common/string_util.h"
 
 namespace xsact::entity {
 
+namespace {
+
+/// rank[id] = position of strings.Lookup(id) in byte-wise sorted order
+/// (std::string's operator<, the order the extractor's output follows).
+std::vector<uint32_t> SortRanks(const StringInterner& strings) {
+  std::vector<int32_t> order(strings.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
+    return strings.Lookup(a) < strings.Lookup(b);
+  });
+  std::vector<uint32_t> rank(order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    rank[static_cast<size_t>(order[i])] = static_cast<uint32_t>(i);
+  }
+  return rank;
+}
+
+std::atomic<uint64_t> g_next_id_space{1};
+
+}  // namespace
+
 DocumentCategoryIndex::DocumentCategoryIndex(const xml::NodeTable& table,
-                                             const EntitySchema& schema) {
+                                             const EntitySchema& schema)
+    : id_space_(g_next_id_space.fetch_add(1, std::memory_order_relaxed)) {
   const size_t n = table.size();
   categories_.resize(n);
   owners_.resize(n);
@@ -64,6 +90,9 @@ DocumentCategoryIndex::DocumentCategoryIndex(const xml::NodeTable& table,
                        : id;
     }
   }
+  tag_ranks_ = SortRanks(tags_);
+  obs_attr_ranks_ = SortRanks(obs_attrs_);
+  obs_value_ranks_ = SortRanks(obs_values_);
 }
 
 }  // namespace xsact::entity

@@ -12,6 +12,11 @@
 //   * for leaf elements, the trimmed inner text interned to a
 //     document-level text id (computed once, not per query).
 //
+// Per DISTINCT tag, observation attribute and observation value string
+// (not per node) it also keeps a sort rank: comparing two ranks answers
+// exactly what comparing the two strings would, so feature extraction
+// orders its observations on integers.
+//
 // Subtree extents are not repeated here: NodeTable::subtree_end already
 // holds them. With both, feature extraction over a result subtree is a
 // single linear sweep of a contiguous id range reading flat arrays — the
@@ -82,6 +87,10 @@ class DocumentCategoryIndex {
   }
   size_t num_tags() const { return tags_.size(); }
   const std::string& tag(int32_t tag_id) const { return tags_.Lookup(tag_id); }
+  /// Position of tag(tag_id) in the byte-wise sorted order of all tags.
+  uint32_t tag_rank(int32_t tag_id) const {
+    return tag_ranks_[static_cast<size_t>(tag_id)];
+  }
 
   /// Document-level id of a leaf element's trimmed inner text (-1 for
   /// non-leaf nodes). Equal ids denote byte-identical text.
@@ -129,6 +138,18 @@ class DocumentCategoryIndex {
   const std::string& obs_value(int32_t value_id) const {
     return obs_values_.Lookup(value_id);
   }
+  /// Sort ranks of obs_attr / obs_value strings (as tag_rank).
+  uint32_t obs_attr_rank(int32_t attr_id) const {
+    return obs_attr_ranks_[static_cast<size_t>(attr_id)];
+  }
+  uint32_t obs_value_rank(int32_t value_id) const {
+    return obs_value_ranks_[static_cast<size_t>(value_id)];
+  }
+
+  /// Process-unique tag of this index's id spaces: two indexes never
+  /// share one, so a memo keyed on (id_space, id) cannot confuse the ids
+  /// of different documents. Kept across moves.
+  uint64_t id_space() const { return id_space_; }
 
  private:
   std::vector<NodeCategory> categories_;
@@ -143,6 +164,10 @@ class DocumentCategoryIndex {
   StringInterner obs_values_;
   std::vector<int32_t> obs_attr_ids_;
   std::vector<int32_t> obs_value_ids_;
+  std::vector<uint32_t> tag_ranks_;
+  std::vector<uint32_t> obs_attr_ranks_;
+  std::vector<uint32_t> obs_value_ranks_;
+  uint64_t id_space_ = 0;
 };
 
 }  // namespace xsact::entity

@@ -1,38 +1,42 @@
 #include "feature/catalog.h"
 
 #include "common/macros.h"
-#include "common/string_util.h"
 
 namespace xsact::feature {
 
 TypeId FeatureCatalog::InternType(std::string_view entity,
                                   std::string_view attribute) {
-  const std::string_view key = ComposeTagKey(entity, attribute, &key_scratch_);
-  const int32_t existing = keys_.Find(key);
-  if (existing >= 0) return existing;
-  const TypeId id = keys_.Intern(key);
-  XSACT_CHECK(static_cast<size_t>(id) == entities_.size());
-  entities_.emplace_back(entity);
-  attributes_.emplace_back(attribute);
+  const TypeNames names{entities_.Intern(entity),
+                        attributes_.Intern(attribute)};
+  const auto [id, inserted] =
+      type_ids_.Insert(PairKey(names.entity, names.attribute),
+                       static_cast<TypeId>(type_names_.size()));
+  if (inserted) type_names_.push_back(names);
   return id;
 }
 
 TypeId FeatureCatalog::FindType(std::string_view entity,
                                 std::string_view attribute) const {
-  // Local buffer: FindType stays const-reentrant (a sealed catalog inside
-  // a cached outcome may be probed by any number of threads).
-  std::string scratch;
-  return keys_.Find(ComposeTagKey(entity, attribute, &scratch));
+  // Read-only probes: a sealed catalog inside a cached outcome may be
+  // probed by any number of threads.
+  const int32_t entity_id = entities_.Find(entity);
+  const int32_t attribute_id = attributes_.Find(attribute);
+  if (entity_id < 0 || attribute_id < 0) return kInvalidTypeId;
+  return type_ids_.Find(PairKey(entity_id, attribute_id));
+}
+
+int32_t FeatureCatalog::EntityIdOf(TypeId id) const {
+  XSACT_CHECK(id >= 0 && static_cast<size_t>(id) < type_names_.size());
+  return type_names_[static_cast<size_t>(id)].entity;
 }
 
 const std::string& FeatureCatalog::EntityOf(TypeId id) const {
-  XSACT_CHECK(id >= 0 && static_cast<size_t>(id) < entities_.size());
-  return entities_[static_cast<size_t>(id)];
+  return entities_.Lookup(EntityIdOf(id));
 }
 
 const std::string& FeatureCatalog::AttributeOf(TypeId id) const {
-  XSACT_CHECK(id >= 0 && static_cast<size_t>(id) < attributes_.size());
-  return attributes_[static_cast<size_t>(id)];
+  XSACT_CHECK(id >= 0 && static_cast<size_t>(id) < type_names_.size());
+  return attributes_.Lookup(type_names_[static_cast<size_t>(id)].attribute);
 }
 
 std::string FeatureCatalog::TypeName(TypeId id) const {
@@ -41,6 +45,17 @@ std::string FeatureCatalog::TypeName(TypeId id) const {
 
 ValueId FeatureCatalog::InternValue(std::string_view value) {
   return values_.Intern(value);
+}
+
+uint64_t FeatureCatalog::MemoKey(uint64_t id_space, int32_t high,
+                                 int32_t low) {
+  XSACT_CHECK(high >= 0 && low >= 0);
+  if (id_space != memo_space_) {
+    memo_space_ = id_space;
+    type_memo_.Clear();
+    value_memo_.Clear();
+  }
+  return PairKey(high, low);
 }
 
 ValueId FeatureCatalog::FindValue(std::string_view value) const {

@@ -6,42 +6,61 @@
 
 namespace xsact::feature {
 
+namespace {
+
+bool TypeIdLess(const TypeStats& stats, TypeId type) {
+  return stats.type_id < type;
+}
+
+}  // namespace
+
+std::vector<TypeStats>::iterator ResultFeatures::LowerBound(TypeId type) {
+  if (types_.empty() || types_.back().type_id < type) return types_.end();
+  if (types_.back().type_id == type) return types_.end() - 1;
+  return std::lower_bound(types_.begin(), types_.end(), type, TypeIdLess);
+}
+
 void ResultFeatures::AddObservation(TypeId type, ValueId value, double count,
                                     double cardinality) {
   XSACT_CHECK(!sealed_);
   XSACT_CHECK(type >= 0 && value >= 0 && count >= 0);
-  auto it = index_.find(type);
-  TypeStats* stats;
-  if (it == index_.end()) {
-    index_.emplace(type, types_.size());
-    types_.push_back(TypeStats{});
-    stats = &types_.back();
-    stats->type_id = type;
-  } else {
-    stats = &types_[it->second];
+  auto it = LowerBound(type);
+  if (it == types_.end() || it->type_id != type) {
+    it = types_.insert(it, TypeStats{});
+    it->type_id = type;
   }
-  stats->occurrence += count;
-  stats->entity_cardinality = std::max(stats->entity_cardinality, cardinality);
-  for (ValueCount& vc : stats->values) {
+  TypeStats& stats = *it;
+  stats.occurrence += count;
+  stats.entity_cardinality = std::max(stats.entity_cardinality, cardinality);
+  for (ValueCount& vc : stats.values) {
     if (vc.value_id == value) {
       vc.count += count;
       return;
     }
   }
-  stats->values.push_back(ValueCount{value, count});
+  stats.values.push_back(ValueCount{value, count});
+}
+
+void ResultFeatures::AddType(TypeId type, double cardinality,
+                             const ValueCount* values, size_t n) {
+  XSACT_CHECK(!sealed_);
+  XSACT_CHECK(type >= 0);
+  auto it = LowerBound(type);
+  XSACT_CHECK(it == types_.end() || it->type_id != type);
+  it = types_.insert(it, TypeStats{});
+  it->type_id = type;
+  it->entity_cardinality = std::max(it->entity_cardinality, cardinality);
+  it->values.assign(values, values + n);
+  for (const ValueCount& vc : it->values) {
+    XSACT_CHECK(vc.value_id >= 0 && vc.count >= 0);
+    it->occurrence += vc.count;
+  }
 }
 
 void ResultFeatures::Seal() {
   XSACT_CHECK(!sealed_);
-  std::sort(types_.begin(), types_.end(),
-            [](const TypeStats& a, const TypeStats& b) {
-              return a.type_id < b.type_id;
-            });
-  index_.clear();
-  for (size_t i = 0; i < types_.size(); ++i) {
-    index_.emplace(types_[i].type_id, i);
-    auto& values = types_[i].values;
-    std::sort(values.begin(), values.end(),
+  for (TypeStats& stats : types_) {
+    std::sort(stats.values.begin(), stats.values.end(),
               [](const ValueCount& a, const ValueCount& b) {
                 if (a.count != b.count) return a.count > b.count;
                 return a.value_id < b.value_id;
@@ -51,8 +70,9 @@ void ResultFeatures::Seal() {
 }
 
 const TypeStats* ResultFeatures::Find(TypeId type) const {
-  auto it = index_.find(type);
-  return it == index_.end() ? nullptr : &types_[it->second];
+  const auto it =
+      std::lower_bound(types_.begin(), types_.end(), type, TypeIdLess);
+  return it != types_.end() && it->type_id == type ? &*it : nullptr;
 }
 
 size_t ResultFeatures::NumFeatures() const {

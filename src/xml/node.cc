@@ -20,7 +20,11 @@ void CollectText(const Node& node, std::string* out) {
 std::string Node::InnerText() const {
   std::string out;
   CollectText(*this, &out);
-  return std::string(Trim(out));
+  const std::string_view trimmed = Trim(out);  // trimmed in place: no copy
+  const size_t begin = static_cast<size_t>(trimmed.data() - out.data());
+  out.resize(begin + trimmed.size());
+  out.erase(0, begin);
+  return out;
 }
 
 std::string_view Node::InnerTextView(std::string* scratch) const {

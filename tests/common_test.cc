@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "common/flat_map.h"
 #include "common/interner.h"
 #include "common/macros.h"
 #include "common/rng.h"
@@ -249,6 +250,45 @@ TEST(InternerTest, AssignsDenseIdsInOrder) {
   EXPECT_EQ(in.Lookup(1), "b");
   EXPECT_EQ(in.Find("b"), 1);
   EXPECT_EQ(in.Find("missing"), -1);
+}
+
+TEST(InternerTest, SurvivesGrowthAndClear) {
+  StringInterner in;
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(in.Intern("s" + std::to_string(i)), i);
+  }
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(in.Find("s" + std::to_string(i)), i);
+    EXPECT_EQ(in.Lookup(i), "s" + std::to_string(i));
+  }
+  EXPECT_EQ(in.Find(""), -1);
+  EXPECT_EQ(in.Intern(""), 1000);  // the empty string is a string too
+  in.Clear();
+  EXPECT_EQ(in.size(), 0u);
+  EXPECT_EQ(in.Find("s7"), -1);
+  EXPECT_EQ(in.Intern("s7"), 0);  // ids restart after Clear
+}
+
+TEST(FlatIdMapTest, InsertFindClearAndGrow) {
+  FlatIdMap<uint64_t, Mix64Hash> map;
+  EXPECT_EQ(map.Find(42), -1);
+  for (uint64_t k = 0; k < 500; ++k) {
+    const auto [id, inserted] = map.Insert(k * 7919, static_cast<int32_t>(k));
+    EXPECT_TRUE(inserted);
+    EXPECT_EQ(id, static_cast<int32_t>(k));
+  }
+  EXPECT_EQ(map.size(), 500u);
+  const auto [id, inserted] = map.Insert(7919, 99);  // present: kept
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(id, 1);
+  for (uint64_t k = 0; k < 500; ++k) {
+    EXPECT_EQ(map.Find(k * 7919), static_cast<int32_t>(k));
+  }
+  map.Clear();
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.Find(7919), -1);
+  EXPECT_TRUE(map.Insert(7919, -2).second);  // any id but -1
+  EXPECT_EQ(map.Find(7919), -2);
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {

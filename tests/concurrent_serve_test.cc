@@ -14,8 +14,10 @@
 #include <algorithm>
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/movies.h"
@@ -247,6 +249,49 @@ TEST(OptionsFingerprintTest, DiscriminatesOutcomeRelevantFields) {
   EXPECT_NE(fp, QueryService::OptionsFingerprint(lift));
   EXPECT_NE(fp, QueryService::OptionsFingerprint(capped));
   EXPECT_EQ(fp, QueryService::OptionsFingerprint(CompareOptions{}));
+}
+
+// One perturbation per CompareOptions field (nested ones included): each
+// must move the cache key, and no two may collide.
+TEST(OptionsFingerprintTest, EveryFieldChangesTheKey) {
+  const CompareOptions base;
+  std::vector<std::pair<std::string, CompareOptions>> perturbed;
+  auto add = [&](const std::string& name, auto&& mutate) {
+    CompareOptions options = base;
+    mutate(options);
+    perturbed.emplace_back(name, options);
+  };
+  add("algorithm", [](CompareOptions& o) {
+    o.algorithm = core::SelectorKind::kGreedy;
+  });
+  add("selector.size_bound",
+      [](CompareOptions& o) { o.selector.size_bound += 1; });
+  add("selector.max_rounds",
+      [](CompareOptions& o) { o.selector.max_rounds += 1; });
+  add("selector.fill_to_bound", [](CompareOptions& o) {
+    o.selector.fill_to_bound = !o.selector.fill_to_bound;
+  });
+  add("diff_threshold", [](CompareOptions& o) { o.diff_threshold += 0.01; });
+  add("extractor.fold_value_case", [](CompareOptions& o) {
+    o.extractor.fold_value_case = !o.extractor.fold_value_case;
+  });
+  add("extractor.max_value_length",
+      [](CompareOptions& o) { o.extractor.max_value_length += 1; });
+  add("extractor.skip_empty_values", [](CompareOptions& o) {
+    o.extractor.skip_empty_values = !o.extractor.skip_empty_values;
+  });
+  add("lift_results_to",
+      [](CompareOptions& o) { o.lift_results_to = "brand"; });
+  add("max_compared", [](CompareOptions& o) { o.max_compared += 3; });
+  ASSERT_EQ(perturbed.size(), 10u);  // one per field
+
+  const std::string fp = QueryService::OptionsFingerprint(base);
+  std::set<std::string> keys = {fp};
+  for (const auto& [name, options] : perturbed) {
+    const std::string key = QueryService::OptionsFingerprint(options);
+    EXPECT_NE(key, fp) << name << " does not reach the fingerprint";
+    EXPECT_TRUE(keys.insert(key).second) << name << " collides";
+  }
 }
 
 class CacheTest : public ::testing::Test {

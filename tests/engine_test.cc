@@ -114,6 +114,33 @@ TEST_F(EngineFixture, CompareNeedsTwoResults) {
   EXPECT_EQ(null_root.code(), StatusCode::kInvalidArgument);
 }
 
+// Extraction reads the snapshot's per-node columns, so a root that is
+// not a node of the snapshot's document (here: a copy of a real result,
+// and a node of another document) is rejected, not compared.
+TEST_F(EngineFixture, RootsOutsideTheSnapshotAreInvalid) {
+  auto results = xsact_->Search("gps");
+  ASSERT_TRUE(results.ok());
+  ASSERT_GE(results->size(), 2u);
+  const std::unique_ptr<xml::Node> copy = results->at(1).root->Clone();
+  const Status cloned =
+      xsact_->CompareResults({results->at(0).root, copy.get()}).status();
+  EXPECT_EQ(cloned.code(), StatusCode::kInvalidArgument) << cloned;
+
+  Xsact other(data::GenerateProductReviews({}));
+  auto foreign = other.Search("gps");
+  ASSERT_TRUE(foreign.ok());
+  ASSERT_FALSE(foreign->empty());
+  const Status mixed =
+      xsact_->CompareResults({results->at(0).root, foreign->at(0).root})
+          .status();
+  EXPECT_EQ(mixed.code(), StatusCode::kInvalidArgument) << mixed;
+
+  // The same roots through their own snapshot compare fine.
+  EXPECT_TRUE(
+      xsact_->CompareResults({results->at(0).root, results->at(1).root})
+          .ok());
+}
+
 TEST_F(EngineFixture, DuplicateRootsCollapse) {
   auto results = xsact_->Search("gps");
   ASSERT_TRUE(results.ok());

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "data/product_reviews.h"
+#include "entity/category_index.h"
 #include "entity/entity_identifier.h"
 #include "xml/parser.h"
 
@@ -130,6 +135,50 @@ TEST(EntityIdentifierTest, InferSchemaFromRootsMatchesWholeDocument) {
   EXPECT_EQ(partial.CategoryOf("reviews", "review"), NodeCategory::kEntity);
   EXPECT_EQ(partial.CategoryOf("pros", "pro"), NodeCategory::kMultiAttribute);
   EXPECT_EQ(whole.CategoryOf("reviews", "review"), NodeCategory::kEntity);
+}
+
+// The per-string sort ranks order ids exactly as their strings compare,
+// for tags, observation attributes and observation values.
+TEST(CategoryIndexTest, SortRanksFollowStringOrder) {
+  const xml::Document doc = data::GenerateProductReviews(
+      {.num_products = 4, .min_reviews = 3, .max_reviews = 6, .seed = 5});
+  const xml::NodeTable table = xml::NodeTable::Build(doc);
+  const DocumentCategoryIndex index(table, InferSchema(doc));
+  auto check = [](size_t n, auto&& str, auto&& rank) {
+    ASSERT_GT(n, 1u);
+    std::vector<int32_t> by_rank(n, -1);
+    for (size_t i = 0; i < n; ++i) {
+      const int32_t id = static_cast<int32_t>(i);
+      ASSERT_LT(rank(id), n);
+      ASSERT_EQ(by_rank[rank(id)], -1) << "rank reused";
+      by_rank[rank(id)] = id;
+    }
+    for (size_t r = 1; r < n; ++r) {
+      EXPECT_LT(str(by_rank[r - 1]), str(by_rank[r]));
+    }
+  };
+  check(
+      index.num_tags(), [&](int32_t id) { return index.tag(id); },
+      [&](int32_t id) { return index.tag_rank(id); });
+  check(
+      index.num_obs_attrs(), [&](int32_t id) { return index.obs_attr(id); },
+      [&](int32_t id) { return index.obs_attr_rank(id); });
+  check(
+      index.num_obs_values(), [&](int32_t id) { return index.obs_value(id); },
+      [&](int32_t id) { return index.obs_value_rank(id); });
+}
+
+// Every index gets its own id space, so catalog memos never mix the ids
+// of two documents.
+TEST(CategoryIndexTest, IdSpacesAreDistinct) {
+  const xml::Document doc = data::GenerateProductReviews(
+      {.num_products = 2, .min_reviews = 1, .max_reviews = 2, .seed = 1});
+  const xml::NodeTable table = xml::NodeTable::Build(doc);
+  const EntitySchema schema = InferSchema(doc);
+  const DocumentCategoryIndex a(table, schema);
+  const DocumentCategoryIndex b(table, schema);
+  EXPECT_NE(a.id_space(), 0u);
+  EXPECT_NE(a.id_space(), b.id_space());
 }
 
 TEST(EntityIdentifierTest, EmptyDocument) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <utility>
+
 #include "entity/entity_identifier.h"
 #include "feature/catalog.h"
 #include "feature/extractor.h"
@@ -42,6 +45,39 @@ TEST(CatalogTest, FindWithoutIntern) {
   const ValueId v = cat.InternValue("v");
   EXPECT_EQ(cat.FindValue("v"), v);
   EXPECT_EQ(cat.ValueOf(v), "v");
+}
+
+// The id-keyed overloads return the string overloads' ids, consult the
+// names only on a memo miss, and drop the memo when the id space changes
+// (the same ids may name other strings in another document).
+TEST(CatalogTest, IdKeyedInterningMemoizesPerIdSpace) {
+  FeatureCatalog catalog;
+  int name_calls = 0;
+  auto names = [&](std::string_view e, std::string_view a) {
+    return [&name_calls, e, a] {
+      ++name_calls;
+      return std::pair<std::string_view, std::string_view>(e, a);
+    };
+  };
+  const TypeId t = catalog.InternType(1, 3, 4, names("review", "rating"));
+  EXPECT_EQ(t, catalog.FindType("review", "rating"));
+  EXPECT_EQ(catalog.InternType(1, 3, 4, names("unused", "unused")), t);
+  EXPECT_EQ(name_calls, 1);  // the repeat never read the names
+  EXPECT_EQ(catalog.InternType("review", "rating"), t);
+
+  // Space 2 reuses ids (3, 4) for another pair: a fresh type, not `t`.
+  const TypeId u = catalog.InternType(2, 3, 4, names("movie", "genre"));
+  EXPECT_NE(u, t);
+  EXPECT_EQ(catalog.EntityOf(u), "movie");
+  EXPECT_EQ(catalog.AttributeOf(u), "genre");
+
+  const ValueId v =
+      catalog.InternValue(2, 9, [] { return std::string_view("drama"); });
+  EXPECT_EQ(v, catalog.FindValue("drama"));
+  EXPECT_EQ(catalog.InternValue(2, 9, [] { return std::string_view("x"); }),
+            v);
+  EXPECT_EQ(catalog.NumTypes(), 2u);
+  EXPECT_EQ(catalog.NumValues(), 1u);
 }
 
 TEST(ResultFeaturesTest, AggregatesObservations) {
